@@ -2,11 +2,15 @@
 
 The hot loops (attractor BFS, Zielonka recursion) exist twice: a compiled
 Cython extension (``_core``) and a pure-Python twin (``pure``) with
-identical outputs.  The compiled one is preferred when importable; set
-``OMEGAGAMES_BACKEND=python`` or ``=compiled`` to force a choice.
+identical outputs.  One kernel is active per process: the compiled one when
+importable, unless ``OMEGAGAMES_BACKEND=python`` or ``=compiled`` names
+another at import, or ``using`` switches it (``omegagames --backend NAME``
+does).  Every solve reads ``active()`` when it calls into the kernel.
 """
 import os
+from contextlib import contextmanager
 
+from ..errors import KernelUnavailable
 from . import pure
 
 try:
@@ -14,30 +18,40 @@ try:
 except ImportError:
     _core = None
 
-_FORCED = os.environ.get("OMEGAGAMES_BACKEND")
-if _FORCED == "python":
-    _default = pure
-elif _FORCED == "compiled":
-    if _core is None:
-        raise ImportError(
-            "OMEGAGAMES_BACKEND=compiled but the _core extension is not built"
-        )
-    _default = _core
-else:
-    _default = _core if _core is not None else pure
 
-
-def backend(name=None):
-    """The kernel module to use: the import-time default, or by name."""
-    if name is None or name == "auto":
-        return _default
+def resolve(name):
+    """The kernel module called ``name``: auto, compiled or python."""
+    if name == "auto":
+        return _core if _core is not None else pure
     if name == "python":
         return pure
     if name == "compiled":
         if _core is None:
-            raise ValueError("compiled kernel requested but not built")
+            raise KernelUnavailable("the compiled kernel is not built")
         return _core
-    raise ValueError(f"unknown backend {name!r} (expected auto, compiled or python)")
+    raise KernelUnavailable(f"unknown kernel {name!r} (expected auto, compiled or python)")
+
+
+_active = resolve(os.environ.get("OMEGAGAMES_BACKEND") or "auto")
+
+
+def active():
+    """The kernel module every solve in this process calls."""
+    return _active
+
+
+@contextmanager
+def using(name):
+    """Make kernel ``name`` active for the body, then restore the previous
+    one.  ``None`` keeps the active kernel."""
+    global _active
+    previous = _active
+    if name is not None:
+        _active = resolve(name)
+    try:
+        yield _active
+    finally:
+        _active = previous
 
 
 def available():
@@ -46,4 +60,5 @@ def available():
 
 
 def default_name():
-    return _default.NAME
+    """Name of the active kernel."""
+    return _active.NAME

@@ -12,7 +12,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from . import _kernels
 from .errors import InvalidSpec
@@ -127,7 +127,6 @@ class BenchRow:
 def run_benchmark(
     specs: Iterable[BenchSpec],
     player: int = 0,
-    backend: Optional[str] = None,
     out=None,
 ) -> list[BenchRow]:
     """Generate and solve ``repetitions`` games per spec, timing each solve.
@@ -152,7 +151,7 @@ def run_benchmark(
                 )
             )
             start = time.perf_counter()
-            almost_sure_solve(game, parity, player, backend=backend)
+            almost_sure_solve(game, parity, player)
             times.append(time.perf_counter() - start)
         row = BenchRow(
             spec.states, spec.edges, sum(times) / len(times), min(times), max(times)
@@ -193,7 +192,8 @@ def compare_backends(
     """Run the benchmark once per available kernel (compiled vs python)."""
     results = {}
     for name in _kernels.available():
-        results[name] = run_benchmark(specs, player=player, backend=name)
+        with _kernels.using(name):
+            results[name] = run_benchmark(specs, player=player)
     if out is not None:
         names = list(results)
         header = "{:>8} {:>8}".format("States", "Edges")

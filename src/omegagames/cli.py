@@ -22,7 +22,6 @@ from .errors import (
 from .graph import GameGraph
 from .pgsolver import export_pgsolver, import_pgsolver
 from .solve import almost_sure_solve, cooperative_region
-from .strategies import Region
 from .synthesis import (
     Assumption,
     apply_fairness,
@@ -62,7 +61,7 @@ def _emit(text: str, out_path):
 
 def _cmd_solve(args) -> int:
     game, obj = _load_game(args.file)
-    region, strategy = almost_sure_solve(game, obj, args.player, backend=args.backend)
+    region, strategy = almost_sure_solve(game, obj, args.player)
     print(f"winningRegion {args.player} = {region}")
     if args.strategy:
         print(strategy)
@@ -72,17 +71,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_coop(args) -> int:
-    from .objectives import Rabin, Streett
-    from .reductions import lar_reduce
-
     game, obj = _load_game(args.file)
-    if isinstance(obj, (Rabin, Streett)):
-        lar = lar_reduce(game, obj)
-        inner = cooperative_region(lar.game, lar.parity, backend=args.backend)
-        states = frozenset(s for s, c in lar.copy_map.items() if c in inner.states)
-        region = Region(states, 0, "cooperative")
-    else:
-        region = cooperative_region(game, obj, backend=args.backend)
+    region = cooperative_region(game, obj)
     print(f"cooperativeWinningRegion = {region}")
     if game.initial is None:
         return EXIT_OK if region.states else EXIT_NEGATIVE
@@ -111,16 +101,16 @@ def _cmd_reduce(args) -> int:
 def _cmd_synth(args) -> int:
     sg = _load_synthesis_game(args.file)
     if args.what == "check":
-        ok, _ = check_realizability(sg, backend=args.backend)
+        ok, _ = check_realizability(sg)
         print("realizable" if ok else "unrealizable")
         return EXIT_OK if ok else EXIT_NEGATIVE
-    asm, safe = compute_safety_assumption(sg, backend=args.backend)
+    asm, safe = compute_safety_assumption(sg)
     if args.what == "safety":
         print(f"safety assumption: {len(asm.safety_edges)} forbidden edges")
         for edge in sorted(asm.safety_edges):
             print(f"  forbid {sg.describe_edge(edge)}")
         return EXIT_OK
-    fair = minimize_fairness(safe, backend=args.backend)
+    fair = minimize_fairness(safe)
     combined = Assumption(asm.safety_edges, fair.fair_edges)
     if args.what == "fairness":
         print(f"fairness assumption: {len(fair.fair_edges)} fair edges")
@@ -135,10 +125,10 @@ def _cmd_synth(args) -> int:
     if args.what == "transducer":
         if fair.fair_edges:
             fg = apply_fairness(safe, fair.fair_edges)
-            _, strategy = almost_sure_solve(fg.graph, fg.parity, 0, backend=args.backend)
+            _, strategy = almost_sure_solve(fg.graph, fg.parity, 0)
             transducer = extract_transducer(fg, strategy)
         else:
-            _, strategy = check_realizability(safe, backend=args.backend)
+            _, strategy = check_realizability(safe)
             transducer = extract_transducer(safe, strategy)
         _emit(str(transducer) + "\n", args.output)
         return EXIT_OK
@@ -169,7 +159,7 @@ def _cmd_bench(args) -> int:
     if args.compare:
         compare_backends(specs, out=sys.stdout)
         return EXIT_OK
-    rows = run_benchmark(specs, backend=args.backend, out=sys.stdout)
+    rows = run_benchmark(specs, out=sys.stdout)
     if args.csv:
         sys.stdout.write(format_csv(rows))
     return EXIT_OK
@@ -271,7 +261,8 @@ def cli_main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.fn(args)
+        with _kernels.using(args.backend):
+            return args.fn(args)
     except (SpecUnsatisfiable, NoFairnessAssumptionExists) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_ASSUMPTION

@@ -21,7 +21,6 @@ from .graph import GameGraph
 from .objectives import Parity, Rabin, Streett
 from .reductions import lar_reduce, reduce_stochastic_parity
 from .solve import almost_sure_solve, cooperative_region
-from .strategies import Region
 from .synthesis import (
     Assumption,
     SynthesisGame,
@@ -231,11 +230,6 @@ def _coop(value: Value):
             "cooperativeWinningRegion applies to 2-player games; "
             "reduce with toDeterministicGame first"
         )
-    if isinstance(obj, (Rabin, Streett)):
-        lar = lar_reduce(game, obj)
-        inner = cooperative_region(lar.game, lar.parity)
-        region = frozenset(s for s, c in lar.copy_map.items() if c in inner.states)
-        return Value("Region", Region(region, 0, "cooperative"))
     return Value("Region", cooperative_region(game, obj))
 
 

@@ -95,6 +95,10 @@ class LabelSyntaxError(OmegagamesError):
     """A transition label does not match the label grammar."""
 
 
+class KernelUnavailable(OmegagamesError):
+    """A fixpoint kernel was requested by an unknown name or is not built."""
+
+
 class InvalidSpec(OmegagamesError):
     """A benchmark specification violates its own constraints."""
 

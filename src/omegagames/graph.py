@@ -300,8 +300,7 @@ def attractor(
     flat = g.flat
     alive = [1] * g.n
     live = [len(g.succ[s]) for s in range(g.n)]
-    backend = _kernels.backend()
-    order, choice = backend.attract(
+    order, choice = _kernels.active().attract(
         flat.n, flat.owners, flat.succ_ptr, flat.succ, flat.pred_ptr, flat.pred,
         alive, live, targets, exist,
     )
@@ -329,17 +328,29 @@ def scc_decompose(g: GameGraph, mask: Optional[Sequence[bool]] = None) -> list[S
     ``mask``, when given, restricts the decomposition to the induced
     subgraph on the states where it is true.
     """
-    n = g.n
     succ = g.succ
-    if mask is None:
-        enabled = [True] * n
-    else:
-        enabled = list(mask)
+    enabled = [True] * g.n if mask is None else mask
+    sccs = []
+    for comp in _tarjan(succ, enabled):
+        comp.sort()
+        comp_set = set(comp)
+        nontrivial = any(t in comp_set for s in comp for t in succ[s] if enabled[t])
+        sccs.append(Scc(tuple(comp), nontrivial))
+    return sccs
+
+
+def _tarjan(succ: Sequence[Sequence[int]], enabled: Sequence[bool]) -> list[list[int]]:
+    """Iterative Tarjan over the states where ``enabled`` is true.
+
+    Returns the SCCs in reverse topological order: every edge leaving a
+    component leads into an earlier one.
+    """
+    n = len(succ)
     index = [-1] * n
     low = [0] * n
     on_stack = [False] * n
     stack = []
-    sccs = []
+    comps = []
     counter = 0
     for root in range(n):
         if not enabled[root] or index[root] != -1:
@@ -365,9 +376,8 @@ def scc_decompose(g: GameGraph, mask: Optional[Sequence[bool]] = None) -> list[S
                     work.append((w, 0))
                     advanced = True
                     break
-                if on_stack[w]:
-                    if index[w] < low[v]:
-                        low[v] = index[w]
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
             if advanced:
                 continue
             if low[v] == index[v]:
@@ -378,14 +388,9 @@ def scc_decompose(g: GameGraph, mask: Optional[Sequence[bool]] = None) -> list[S
                     comp.append(w)
                     if w == v:
                         break
-                comp.sort()
-                comp_set = set(comp)
-                nontrivial = any(
-                    t in comp_set for s in comp for t in succ[s] if enabled[t]
-                )
-                sccs.append(Scc(tuple(comp), nontrivial))
+                comps.append(comp)
             if work:
                 parent = work[-1][0]
                 if low[v] < low[parent]:
                     low[parent] = low[v]
-    return sccs
+    return comps

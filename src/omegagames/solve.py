@@ -7,11 +7,10 @@ complemented), so a single player-0 code path serves both players.
 from __future__ import annotations
 
 import itertools
-from typing import Optional
 
 from . import _kernels
 from .errors import NotDeterministicGame, TooLarge
-from .graph import PLAYER0, PLAYER1, PROBABILISTIC, GameGraph, scc_decompose
+from .graph import PLAYER0, PLAYER1, PROBABILISTIC, GameGraph, _tarjan, scc_decompose
 from .objectives import Objective, Parity, Rabin, Streett, complement
 from .reductions import dual_game, lar_reduce, pullback_strategy, reduce_stochastic_parity
 from .strategies import Region, Strategy
@@ -28,9 +27,7 @@ def _check_parity(g: GameGraph, obj: Parity):
         )
 
 
-def zielonka_solve(
-    g: GameGraph, obj: Parity, backend: Optional[str] = None
-) -> tuple[Region, Region, Strategy, Strategy]:
+def zielonka_solve(g: GameGraph, obj: Parity) -> tuple[Region, Region, Strategy, Strategy]:
     """Solve a 2-player parity game: regions and memoryless strategies.
 
     ``W0`` and ``W1`` partition the state space; each strategy is winning
@@ -41,8 +38,7 @@ def zielonka_solve(
     g.require_valid()
     _check_parity(g, obj)
     flat = g.flat
-    kern = _kernels.backend(backend)
-    winner, ch0, ch1 = kern.solve_parity(
+    winner, ch0, ch1 = _kernels.active().solve_parity(
         flat.n, flat.owners, list(obj.priorities),
         flat.succ_ptr, flat.succ, flat.pred_ptr, flat.pred,
     )
@@ -62,13 +58,22 @@ def zielonka_solve(
     )
 
 
-def cooperative_region(g: GameGraph, obj: Parity, backend: Optional[str] = None) -> Region:
-    """States from which some path (players cooperating) satisfies the parity
-    objective: reachability of a nontrivial SCC whose minimum priority is
-    witnessed even within the priority-restricted subgraph."""
+def cooperative_region(g: GameGraph, obj: Objective) -> Region:
+    """States from which some path (players cooperating) satisfies the
+    objective.
+
+    Rabin/Streett objectives go through the latest-appearance-record
+    product.  For parity: reachability of a nontrivial SCC whose minimum
+    priority is witnessed even within the priority-restricted subgraph.
+    """
     if not g.is_two_player:
         raise NotDeterministicGame("cooperative_region requires a game without probabilistic states")
     g.require_valid()
+    if isinstance(obj, (Streett, Rabin)):
+        lar = lar_reduce(g, obj)
+        inner = cooperative_region(lar.game, lar.parity).states
+        region = frozenset(orig for orig, copy in lar.copy_map.items() if copy in inner)
+        return Region(region, PLAYER0, "cooperative")
     _check_parity(g, obj)
     prio = obj.priorities
     targets = set()
@@ -80,8 +85,7 @@ def cooperative_region(g: GameGraph, obj: Parity, backend: Optional[str] = None)
     if not targets:
         return Region(frozenset(), PLAYER0, "cooperative")
     flat = g.flat
-    kern = _kernels.backend(backend)
-    order, _ = kern.attract(
+    order, _ = _kernels.active().attract(
         flat.n, flat.owners, flat.succ_ptr, flat.succ, flat.pred_ptr, flat.pred,
         [1] * g.n, [len(g.succ[s]) for s in range(g.n)],
         sorted(targets), (True, True, True),
@@ -96,52 +100,11 @@ def _chain_verdicts(n, succ, obj: Objective) -> list[bool]:
     substituted).  A state satisfies the objective with probability 1 iff
     no reachable bottom SCC violates it.
     """
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack = []
-    counter = 0
+    comps = _tarjan(succ, [True] * n)
     comp_of = [-1] * n
-    comps = []
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, i = work.pop()
-            if i == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            targets = succ[v]
-            while i < len(targets):
-                w = targets[i]
-                i += 1
-                if index[w] == -1:
-                    work.append((v, i))
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w] and index[w] < low[v]:
-                    low[v] = index[w]
-            if advanced:
-                continue
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp_of[w] = len(comps)
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(comp)
-            if work:
-                parent = work[-1][0]
-                if low[v] < low[parent]:
-                    low[parent] = low[v]
+    for ci, comp in enumerate(comps):
+        for s in comp:
+            comp_of[s] = ci
     # comps are in reverse topological order: successors of a component
     # always sit in an earlier entry.  A component is bad if it is a
     # violating bottom SCC or can reach one.
@@ -365,12 +328,10 @@ def _almost_sure_reach_inside(n, succ, free, region, targets):
         current = reach
 
 
-def _almost_sure_parity(
-    g: GameGraph, obj: Parity, backend: Optional[str] = None
-) -> tuple[Region, Strategy]:
+def _almost_sure_parity(g: GameGraph, obj: Parity) -> tuple[Region, Strategy]:
     """Player-0 almost-sure region and strategy of a 2.5-player parity game."""
     red = reduce_stochastic_parity(g, obj)
-    w0, _, s0, _ = zielonka_solve(red.game, red.parity, backend=backend)
+    w0, _, s0, _ = zielonka_solve(red.game, red.parity)
     if red.kind == "identity":
         return Region(w0.states, PLAYER0, "almost-sure"), s0
     region = frozenset(
@@ -381,9 +342,7 @@ def _almost_sure_parity(
     return Region(region, PLAYER0, "almost-sure"), strategy
 
 
-def almost_sure_solve(
-    g: GameGraph, obj: Objective, player: int, backend: Optional[str] = None
-) -> tuple[Region, Strategy]:
+def almost_sure_solve(g: GameGraph, obj: Objective, player: int) -> tuple[Region, Strategy]:
     """Almost-sure winning region and witness strategy for ``player``.
 
     Rabin/Streett objectives go through the latest-appearance-record
@@ -393,9 +352,7 @@ def almost_sure_solve(
     g.require_valid()
     if isinstance(obj, (Streett, Rabin)):
         lar = lar_reduce(g, obj)
-        inner_region, inner_strategy = almost_sure_solve(
-            lar.game, lar.parity, player, backend=backend
-        )
+        inner_region, inner_strategy = almost_sure_solve(lar.game, lar.parity, player)
         region = frozenset(
             orig for orig, copy in lar.copy_map.items() if copy in inner_region.states
         )
@@ -403,11 +360,11 @@ def almost_sure_solve(
         return Region(region, player, "almost-sure"), strategy
     _check_parity(g, obj)
     if player == PLAYER0:
-        return _almost_sure_parity(g, obj, backend=backend)
+        return _almost_sure_parity(g, obj)
     if player != PLAYER1:
         raise ValueError(f"player must be 0 or 1, got {player}")
     gd, objd = dual_game(g, obj)
-    region, strategy = _almost_sure_parity(gd, objd, backend=backend)
+    region, strategy = _almost_sure_parity(gd, objd)
     return (
         Region(region.states, PLAYER1, "almost-sure"),
         Strategy(

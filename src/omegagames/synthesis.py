@@ -207,26 +207,22 @@ def dpa_to_synthesis_game(aut: DetParityAutomaton) -> SynthesisGame:
     return SynthesisGame(graph, Parity(tuple(prios)), aut, neutral)
 
 
-def check_realizability(
-    sg: SynthesisGame, backend: Optional[str] = None
-) -> tuple[bool, Optional[Strategy]]:
+def check_realizability(sg: SynthesisGame) -> tuple[bool, Optional[Strategy]]:
     """Whether the system wins the synthesis game from its initial state."""
-    w0, _, s0, _ = zielonka_solve(sg.graph, sg.parity, backend=backend)
+    w0, _, s0, _ = zielonka_solve(sg.graph, sg.parity)
     if sg.graph.initial in w0.states:
         return True, s0
     return False, None
 
 
-def compute_safety_assumption(
-    sg: SynthesisGame, backend: Optional[str] = None
-) -> tuple[Assumption, SynthesisGame]:
+def compute_safety_assumption(sg: SynthesisGame) -> tuple[Assumption, SynthesisGame]:
     """Minimal forbidden-edge set: environment edges leaving the cooperative
     winning region.  Returns the assumption and the pruned (safe) game.
 
     Raises ``SpecUnsatisfiable`` when even full cooperation cannot satisfy
     the specification from the initial state.
     """
-    coop = cooperative_region(sg.graph, sg.parity, backend=backend).states
+    coop = cooperative_region(sg.graph, sg.parity).states
     if sg.graph.initial not in coop:
         raise SpecUnsatisfiable(
             "the specification cannot be satisfied even with a cooperating environment"
@@ -280,39 +276,35 @@ def apply_fairness(sg: SynthesisGame, fair: Iterable[EnvEdge]) -> FairGame:
     return FairGame(graph, Parity(tuple(prios)), sg, wrapper_of, wrapped)
 
 
-def check_sufficiency(
-    sg: SynthesisGame, asm: Assumption, backend: Optional[str] = None
-) -> bool:
+def check_sufficiency(sg: SynthesisGame, asm: Assumption) -> bool:
     """Whether the assumption makes the specification realizable: the
     initial state must win with probability 1 in the fairness-wrapped game
     after the safety edges are removed."""
     safe = sg.remove_env_edges(asm.safety_edges)
     fg = apply_fairness(safe, asm.fair_edges)
-    region, _ = almost_sure_solve(fg.graph, fg.parity, PLAYER0, backend=backend)
+    region, _ = almost_sure_solve(fg.graph, fg.parity, PLAYER0)
     return fg.graph.initial in region
 
 
-def minimize_fairness(sg: SynthesisGame, backend: Optional[str] = None) -> Assumption:
+def minimize_fairness(sg: SynthesisGame) -> Assumption:
     """Locally minimal fairness assumption on a safety-pruned game.
 
-    Starts from all environment edges fair and greedily drops edges in
-    ascending (state, input letter) order, repeating passes until no single
-    edge can be dropped.  Raises ``NoFairnessAssumptionExists`` when even
-    the full edge set is insufficient.
+    Starts from all environment edges fair and greedily drops edges in one
+    ascending (state, input letter) pass, 1 + |edges| sufficiency checks in
+    all.  One pass suffices because sufficiency is monotone in the fair
+    set: an edge kept once stays needed after later edges are dropped.
+    Raises ``NoFairnessAssumptionExists`` when even the full edge set is
+    insufficient.
     """
     fair = set(sg.env_edges())
-    if not check_sufficiency(sg, Assumption(frozenset(), frozenset(fair)), backend=backend):
+    if not check_sufficiency(sg, Assumption(frozenset(), frozenset(fair))):
         raise NoFairnessAssumptionExists(
             "the specification stays unrealizable under full transition fairness"
         )
-    changed = True
-    while changed:
-        changed = False
-        for edge in sorted(fair):
-            trial = frozenset(fair - {edge})
-            if check_sufficiency(sg, Assumption(frozenset(), trial), backend=backend):
-                fair.discard(edge)
-                changed = True
+    for edge in sorted(fair):
+        trial = frozenset(fair - {edge})
+        if check_sufficiency(sg, Assumption(frozenset(), trial)):
+            fair.discard(edge)
     return Assumption(frozenset(), frozenset(fair))
 
 

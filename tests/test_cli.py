@@ -3,6 +3,7 @@ import shutil
 
 import pytest
 
+from omegagames import _kernels
 from omegagames.cli import cli_main
 from omegagames.graph import PLAYER0, build_game
 from omegagames.objectives import Parity
@@ -41,6 +42,18 @@ def test_missing_file_is_input_error(workdir, capsys):
 def test_malformed_file_is_input_error(workdir, capsys):
     (workdir / "bad.xml").write_text("<structure", encoding="utf-8")
     assert cli_main(["solve", "bad.xml", "--player", "0"]) == 2
+
+
+@pytest.mark.skipif("compiled" in _kernels.available(), reason="compiled kernel is built")
+def test_unbuilt_compiled_kernel_is_input_error(workdir, capsys):
+    argv = ["--backend", "compiled", "solve", "sample_game.xml", "--player", "0"]
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not built" in err
+    # the kernel is chosen before any file is read
+    argv[3] = "missing.xml"
+    assert cli_main(argv) == 2
+    assert "not built" in capsys.readouterr().err
 
 
 def test_synth_check_unrealizable(workdir, capsys):

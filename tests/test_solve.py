@@ -95,6 +95,23 @@ def test_cooperative_matches_lasso_enumeration(rng):
         assert region == expected
 
 
+def test_cooperative_rabin_streett_matches_end_components(rng):
+    """Rabin/Streett cooperative regions go through the product; reference:
+    the states that can reach a strongly connected set the objective
+    accepts."""
+    from omegagames.solve import _can_reach, _end_components
+
+    for trial in range(60):
+        g = sample_game(rng, max_states=5, owners=(PLAYER0, PLAYER1))
+        pairs = sample_pairs(rng, g.n)
+        obj = Streett(pairs) if trial % 2 else Rabin(pairs)
+        good = set()
+        for comp in _end_components(g.n, g.succ, [True] * g.n):
+            if obj.accepts_inf(comp):
+                good |= comp
+        assert cooperative_region(g, obj).states == _can_reach(g.n, g.succ, good)
+
+
 def test_markov_chain_examples():
     even = build_game([(PROBABILISTIC, [0])])
     assert markov_chain_almost_sure(even, Parity((0,)), 0) is True

@@ -105,6 +105,23 @@ def test_repeated_grant_minimal_fairness_is_the_notc_edge(repeated_grant):
     assert check_sufficiency(safe, fair) is True
 
 
+def test_repeated_grant_fairness_search_checks_each_edge_once(repeated_grant, monkeypatch):
+    """By monotonicity one ascending pass is locally minimal: one check of
+    the full fair set, then one per environment edge."""
+    from omegagames import synthesis
+
+    calls = []
+
+    def counted(sg, asm, _check=synthesis.check_sufficiency):
+        calls.append(asm)
+        return _check(sg, asm)
+
+    monkeypatch.setattr(synthesis, "check_sufficiency", counted)
+    _, safe = compute_safety_assumption(repeated_grant)
+    assert minimize_fairness(safe).fair_edges == frozenset({(0, 0)})
+    assert len(calls) == 1 + len(safe.env_edges())
+
+
 def test_repeated_grant_sufficiency_monotone_over_all_subsets(repeated_grant):
     """Enlarging the fair set never turns a sufficient assumption insufficient
     (checked over every subset of the six environment edges)."""
