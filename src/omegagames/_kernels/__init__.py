@@ -4,8 +4,8 @@ The hot loops (attractor BFS, Zielonka recursion) exist twice: a compiled
 Cython extension (``_core``) and a pure-Python twin (``pure``) with
 identical outputs.  One kernel is active per process: the compiled one when
 importable, unless ``OMEGAGAMES_BACKEND=python`` or ``=compiled`` names
-another at import, or ``using`` switches it (``omegagames --backend NAME``
-does).  Every solve reads ``active()`` when it calls into the kernel.
+another, or ``using`` switches it (``omegagames --backend NAME`` does).
+Every solve reads ``active()``, which resolves the variable on first use.
 """
 import os
 from contextlib import contextmanager
@@ -32,11 +32,14 @@ def resolve(name):
     raise KernelUnavailable(f"unknown kernel {name!r} (expected auto, compiled or python)")
 
 
-_active = resolve(os.environ.get("OMEGAGAMES_BACKEND") or "auto")
+_active = None  # resolved from OMEGAGAMES_BACKEND by the first active()
 
 
 def active():
     """The kernel module every solve in this process calls."""
+    global _active
+    if _active is None:
+        _active = resolve(os.environ.get("OMEGAGAMES_BACKEND") or "auto")
     return _active
 
 
@@ -49,7 +52,7 @@ def using(name):
     if name is not None:
         _active = resolve(name)
     try:
-        yield _active
+        yield active()
     finally:
         _active = previous
 
@@ -61,4 +64,4 @@ def available():
 
 def default_name():
     """Name of the active kernel."""
-    return _active.NAME
+    return active().NAME

@@ -175,10 +175,6 @@ def format_row(row: BenchRow) -> str:
     )
 
 
-def format_table(rows: Sequence[BenchRow]) -> str:
-    return "\n".join([format_header()] + [format_row(r) for r in rows])
-
-
 def format_csv(rows: Sequence[BenchRow]) -> str:
     lines = ["states,edges,avg,best,worst"]
     for r in rows:

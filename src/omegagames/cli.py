@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 from . import _kernels, structio
 from .benchgen import BenchSpec, compare_backends, format_csv, run_benchmark
@@ -22,16 +21,7 @@ from .errors import (
 from .graph import GameGraph
 from .pgsolver import export_pgsolver, import_pgsolver
 from .solve import almost_sure_solve, cooperative_region
-from .synthesis import (
-    Assumption,
-    apply_fairness,
-    assumption_to_streett_automaton,
-    check_realizability,
-    compute_safety_assumption,
-    dpa_to_synthesis_game,
-    extract_transducer,
-    minimize_fairness,
-)
+from .synthesis import check_realizability, dpa_to_synthesis_game
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -40,21 +30,20 @@ EXIT_NO_ASSUMPTION = 3
 
 
 def _load_game(path: str):
-    text = Path(path).read_text(encoding="utf-8")
+    text = structio.read_text(path)
     if text.lstrip().startswith("<"):
         return structio.document_to_game(structio.parse_structure(text))
     return import_pgsolver(text)
 
 
 def _load_synthesis_game(path: str):
-    text = Path(path).read_text(encoding="utf-8")
-    doc = structio.parse_structure(text)
+    doc = structio.parse_structure(structio.read_text(path))
     return dpa_to_synthesis_game(structio.dpa_from_document(doc))
 
 
 def _emit(text: str, out_path):
     if out_path:
-        Path(out_path).write_text(text, encoding="utf-8")
+        structio.write_text(out_path, text)
     else:
         sys.stdout.write(text)
 
@@ -104,35 +93,22 @@ def _cmd_synth(args) -> int:
         ok, _ = check_realizability(sg)
         print("realizable" if ok else "unrealizable")
         return EXIT_OK if ok else EXIT_NEGATIVE
-    asm, safe = compute_safety_assumption(sg)
+    repair = sg.repair
     if args.what == "safety":
-        print(f"safety assumption: {len(asm.safety_edges)} forbidden edges")
-        for edge in sorted(asm.safety_edges):
+        print(f"safety assumption: {len(repair.safety.safety_edges)} forbidden edges")
+        for edge in sorted(repair.safety.safety_edges):
             print(f"  forbid {sg.describe_edge(edge)}")
-        return EXIT_OK
-    fair = minimize_fairness(safe)
-    combined = Assumption(asm.safety_edges, fair.fair_edges)
-    if args.what == "fairness":
-        print(f"fairness assumption: {len(fair.fair_edges)} fair edges")
-        for edge in sorted(fair.fair_edges):
+    elif args.what == "fairness":
+        fair = repair.assumption.fair_edges
+        print(f"fairness assumption: {len(fair)} fair edges")
+        for edge in sorted(fair):
             print(f"  fair {sg.describe_edge(edge)}")
-        return EXIT_OK
-    if args.what == "assumption":
-        automaton = assumption_to_streett_automaton(sg, combined)
-        doc = structio.streett_automaton_to_document(automaton)
+    elif args.what == "assumption":
+        doc = structio.streett_automaton_to_document(repair.automaton)
         _emit(structio.write_structure(doc), args.output)
-        return EXIT_OK
-    if args.what == "transducer":
-        if fair.fair_edges:
-            fg = apply_fairness(safe, fair.fair_edges)
-            _, strategy = almost_sure_solve(fg.graph, fg.parity, 0)
-            transducer = extract_transducer(fg, strategy)
-        else:
-            _, strategy = check_realizability(safe)
-            transducer = extract_transducer(safe, strategy)
-        _emit(str(transducer) + "\n", args.output)
-        return EXIT_OK
-    raise AssertionError(args.what)
+    else:
+        _emit(str(repair.transducer) + "\n", args.output)
+    return EXIT_OK
 
 
 def _int_list(text: str) -> list[int]:

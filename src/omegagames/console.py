@@ -12,7 +12,6 @@ from __future__ import annotations
 import re
 import shlex
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Mapping
 
 from . import structio
@@ -21,18 +20,7 @@ from .graph import GameGraph
 from .objectives import Parity, Rabin, Streett
 from .reductions import lar_reduce, reduce_stochastic_parity
 from .solve import almost_sure_solve, cooperative_region
-from .synthesis import (
-    Assumption,
-    SynthesisGame,
-    apply_fairness,
-    assumption_to_streett_automaton,
-    check_realizability,
-    check_sufficiency,
-    compute_safety_assumption,
-    dpa_to_synthesis_game,
-    extract_transducer,
-    minimize_fairness,
-)
+from .synthesis import SynthesisGame, check_realizability, check_sufficiency, dpa_to_synthesis_game
 
 _VARIABLE = re.compile(r"^\$[a-zA-Z0-9]*$")
 
@@ -153,6 +141,15 @@ _SYNTH_HELP = [
 ]
 
 
+# console action -> (result kind, ``Repair`` field)
+_REPAIR_STAGES = {
+    "safetyAssumption": ("Assumption", "safety"),
+    "fairnessAssumption": ("Assumption", "assumption"),
+    "assumptionAutomaton": ("StreettAutomaton", "automaton"),
+    "transducer": ("Transducer", "transducer"),
+}
+
+
 def _help_text(kind: str) -> str:
     rows = list(_HELP.get(kind, _GAME_HELP if kind in _GAME_KINDS else []))
     if kind == "SynthesisGame":
@@ -164,7 +161,7 @@ def _help_text(kind: str) -> str:
 
 
 def _read_file(kind: str, path: str) -> Value:
-    text = Path(path).read_text(encoding="utf-8")
+    text = structio.read_text(path)
     if kind == "LTL":
         return Value("LTL", text.strip())
     doc = structio.parse_structure(text)
@@ -190,7 +187,7 @@ def _read_file(kind: str, path: str) -> Value:
 def _write_file(value: Value, path: str) -> str:
     kind, payload = value.kind, value.payload
     if kind == "LTL":
-        Path(path).write_text(payload + "\n", encoding="utf-8")
+        structio.write_text(path, payload + "\n")
         return f"wrote {path}"
     if kind == "BuchiAutomaton":
         doc = payload
@@ -204,7 +201,7 @@ def _write_file(value: Value, path: str) -> str:
         doc = structio.game_to_document(*payload)
     else:
         raise TypeMismatch(f"{kind} objects cannot be written to files")
-    Path(path).write_text(structio.write_structure(doc), encoding="utf-8")
+    structio.write_text(path, structio.write_structure(doc))
     return f"wrote {path}"
 
 
@@ -260,27 +257,9 @@ def _apply_action(state: ConsoleState, value: Value, action: str, args) -> Value
         if action == "realizable":
             ok, _ = check_realizability(sg)
             return Value("Bool", ok)
-        if action == "safetyAssumption":
-            asm, _safe = compute_safety_assumption(sg)
-            return Value("Assumption", asm)
-        if action == "fairnessAssumption":
-            asm, safe = compute_safety_assumption(sg)
-            fair = minimize_fairness(safe)
-            return Value("Assumption", Assumption(asm.safety_edges, fair.fair_edges))
-        if action == "assumptionAutomaton":
-            asm, safe = compute_safety_assumption(sg)
-            fair = minimize_fairness(safe)
-            combined = Assumption(asm.safety_edges, fair.fair_edges)
-            return Value("StreettAutomaton", assumption_to_streett_automaton(sg, combined))
-        if action == "transducer":
-            asm, safe = compute_safety_assumption(sg)
-            fair = minimize_fairness(safe)
-            if fair.fair_edges:
-                fg = apply_fairness(safe, fair.fair_edges)
-                _, strategy = almost_sure_solve(fg.graph, fg.parity, 0)
-                return Value("Transducer", extract_transducer(fg, strategy))
-            _, strategy = check_realizability(safe)
-            return Value("Transducer", extract_transducer(safe, strategy))
+        if action in _REPAIR_STAGES:
+            kind, stage = _REPAIR_STAGES[action]
+            return Value(kind, getattr(sg.repair, stage))
         if action == "sufficient":
             if len(args) != 1 or not _VARIABLE.match(args[0]):
                 raise ConsoleParseError("sufficient needs an assumption variable")

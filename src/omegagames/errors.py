@@ -5,6 +5,15 @@ class OmegagamesError(Exception):
     """Base class for every error raised by this package."""
 
 
+class FileAccessError(OmegagamesError):
+    """A file could not be read (missing, unreadable, not UTF-8) or written."""
+
+    def __init__(self, path, verb, cause):
+        self.path = str(path)
+        reason = getattr(cause, "strerror", None) or cause
+        super().__init__(f"cannot {verb} {self.path}: {reason}")
+
+
 class InvalidGame(OmegagamesError):
     """A game graph violates a structural invariant.
 

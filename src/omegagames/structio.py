@@ -14,12 +14,14 @@ from __future__ import annotations
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional, Sequence, Union
 from xml.sax.saxutils import escape
 
 from .automata import DetParityAutomaton, PropAlphabet, StreettAutomaton
 from .errors import (
     DuplicateProp,
+    FileAccessError,
     IncompleteAutomaton,
     LabelSyntaxError,
     SchemaError,
@@ -30,6 +32,22 @@ from .graph import PLAYER0, PLAYER1, PROBABILISTIC, GameGraph, build_game
 from .objectives import Objective, Parity, Rabin, Streett, buchi_parity
 
 _PLAYER_TAGS = {"0": PLAYER0, "1": PLAYER1, "-1": PROBABILISTIC}
+
+
+def read_text(path) -> str:
+    """The UTF-8 text of file ``path``."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FileAccessError(path, "read", exc) from None
+
+
+def write_text(path, text: str) -> None:
+    """Store ``text`` in file ``path`` as UTF-8."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise FileAccessError(path, "write", exc) from None
 _TAG_OF_OWNER = {PLAYER0: "0", PLAYER1: "1", PROBABILISTIC: "-1"}
 
 
@@ -478,27 +496,19 @@ def _letters_matching(alpha: PropAlphabet, literals) -> list[int]:
     return out
 
 
-def dpa_from_document(doc: StructureDocument, complete: bool = False) -> DetParityAutomaton:
-    """Deterministic parity automaton from an fa document.
-
-    Each labeled transition is expanded over the full letters it matches;
-    a (state, letter) covered twice with different targets is rejected as
-    nondeterminism, a missing one raises ``IncompleteAutomaton`` unless
-    ``complete`` adds the rejecting sink.
-    """
+def _fa_table(doc: StructureDocument, acc_type: str):
+    """Alphabet, state ranks and (state, letter) -> target table of an fa
+    document with ``acc_type`` acceptance.  Each transition is expanded over
+    the full letters it matches; a (state, letter) covered twice with
+    different targets is rejected as nondeterminism."""
     if doc.kind != "fa":
         raise SchemaError(f"expected an fa document, got type {doc.kind!r}")
-    if doc.acc_type != "parity":
-        raise SchemaError(f"parity acceptance expected, got {doc.acc_type!r}")
+    if doc.acc_type != acc_type:
+        raise SchemaError(f"{acc_type} acceptance expected, got {doc.acc_type!r}")
     if len(doc.initial) != 1:
         raise SchemaError("a deterministic automaton needs exactly one initial state")
     alpha = _alphabet_of(doc)
     rank = {s.sid: k for k, s in enumerate(doc.states)}
-    n = len(doc.states)
-    prio = [0] * n
-    for k, acc in enumerate(doc.acc_sets):
-        for sid in acc:
-            prio[rank[sid]] = k
     table = {}
     for t in doc.transitions:
         literals = parse_label(t.read, doc.props)
@@ -509,13 +519,12 @@ def dpa_from_document(doc: StructureDocument, complete: bool = False) -> DetPari
                     f"state {t.src} is nondeterministic on {alpha.format_letter(letter)}"
                 )
             table[key] = rank[t.dst]
-    labels = tuple(s.label for s in doc.states)
-    return DetParityAutomaton.from_table(
-        alpha, n, rank[doc.initial[0]], prio, table, complete=complete, labels=labels
-    )
+    return alpha, rank, table
 
 
-def dpa_to_document(aut: DetParityAutomaton) -> StructureDocument:
+def _fa_document(aut, acc_type: str, acc_sets) -> StructureDocument:
+    """fa document of a complete deterministic automaton: one transition
+    per (state, full letter), numbered in that order."""
     alpha = aut.alphabet
     props = [PropDecl(p, "input") for p in alpha.inputs] + [
         PropDecl(p, "output") for p in alpha.outputs
@@ -523,44 +532,45 @@ def dpa_to_document(aut: DetParityAutomaton) -> StructureDocument:
     states = [
         StateDecl(q, None, aut.labels[q] if aut.labels else None) for q in range(aut.n)
     ]
-    transitions = []
-    tid = 0
-    for q in range(aut.n):
-        for letter in range(alpha.n_letters):
-            transitions.append(
-                TransitionDecl(tid, q, aut.delta[q][letter], format_label(alpha.literals(letter), props))
-            )
-            tid += 1
+    reads = [format_label(alpha.literals(letter), props) for letter in range(alpha.n_letters)]
+    transitions = [
+        TransitionDecl(q * alpha.n_letters + letter, q, aut.delta[q][letter], read)
+        for q in range(aut.n)
+        for letter, read in enumerate(reads)
+    ]
+    return structure_document(
+        "fa", props, states, transitions, [aut.initial], acc_type, acc_sets
+    )
+
+
+def dpa_from_document(doc: StructureDocument, complete: bool = False) -> DetParityAutomaton:
+    """Deterministic parity automaton from an fa document.  A (state, letter)
+    no transition covers raises ``IncompleteAutomaton`` unless ``complete``
+    adds the rejecting sink."""
+    alpha, rank, table = _fa_table(doc, "parity")
+    n = len(doc.states)
+    prio = [0] * n
+    for k, acc in enumerate(doc.acc_sets):
+        for sid in acc:
+            prio[rank[sid]] = k
+    labels = tuple(s.label for s in doc.states)
+    return DetParityAutomaton.from_table(
+        alpha, n, rank[doc.initial[0]], prio, table, complete=complete, labels=labels
+    )
+
+
+def dpa_to_document(aut: DetParityAutomaton) -> StructureDocument:
     acc_sets = [
         tuple(q for q in range(aut.n) if aut.priorities[q] == k)
         for k in range(max(aut.priorities) + 1)
     ]
-    return structure_document(
-        "fa", props, states, transitions, [aut.initial], "parity", acc_sets
-    )
+    return _fa_document(aut, "parity", acc_sets)
 
 
 def streett_automaton_from_document(doc: StructureDocument) -> StreettAutomaton:
     """Deterministic, complete Streett automaton from an fa document."""
-    if doc.kind != "fa":
-        raise SchemaError(f"expected an fa document, got type {doc.kind!r}")
-    if doc.acc_type != "streett":
-        raise SchemaError(f"streett acceptance expected, got {doc.acc_type!r}")
-    if len(doc.initial) != 1:
-        raise SchemaError("a deterministic automaton needs exactly one initial state")
-    alpha = _alphabet_of(doc)
-    rank = {s.sid: k for k, s in enumerate(doc.states)}
+    alpha, rank, table = _fa_table(doc, "streett")
     n = len(doc.states)
-    table = {}
-    for t in doc.transitions:
-        literals = parse_label(t.read, doc.props)
-        for letter in _letters_matching(alpha, literals):
-            key = (rank[t.src], letter)
-            if key in table and table[key] != rank[t.dst]:
-                raise SchemaError(
-                    f"state {t.src} is nondeterministic on {alpha.format_letter(letter)}"
-                )
-            table[key] = rank[t.dst]
     rows = []
     for q in range(n):
         row = []
@@ -586,22 +596,5 @@ def streett_automaton_from_document(doc: StructureDocument) -> StreettAutomaton:
 
 
 def streett_automaton_to_document(sa: StreettAutomaton) -> StructureDocument:
-    alpha = sa.alphabet
-    props = [PropDecl(p, "input") for p in alpha.inputs] + [
-        PropDecl(p, "output") for p in alpha.outputs
-    ]
-    states = [
-        StateDecl(q, None, sa.labels[q] if sa.labels else None) for q in range(sa.n)
-    ]
-    transitions = []
-    tid = 0
-    for q in range(sa.n):
-        for letter in range(alpha.n_letters):
-            transitions.append(
-                TransitionDecl(tid, q, sa.delta[q][letter], format_label(alpha.literals(letter), props))
-            )
-            tid += 1
     acc_sets = [(tuple(sorted(q)), tuple(sorted(r))) for q, r in sa.pairs]
-    return structure_document(
-        "fa", props, states, transitions, [sa.initial], "streett", acc_sets
-    )
+    return _fa_document(sa, "streett", acc_sets)

@@ -7,11 +7,13 @@ environment edges (safety assumption) and a locally minimal set of fair
 environment edges (strong transition fairness, checked through a
 2.5-player game) repair the specification; the result is exported as a
 Streett automaton, and a winning strategy yields the implementing Mealy
-machine.
+machine.  ``SynthesisGame.repair`` stages that sequence and computes each
+stage once, on first use.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Union
 
 from .automata import DetParityAutomaton, PropAlphabet, StreettAutomaton
@@ -60,9 +62,6 @@ class SynthesisGame:
         q, i = divmod(c - self.n_env, self.alphabet.n_inputs)
         return q, i
 
-    def is_env_state(self, s: int) -> bool:
-        return s < self.n_env
-
     def env_successor(self, q: int, i: int, o: int) -> int:
         return self.automaton.step(q, i, o)
 
@@ -81,10 +80,6 @@ class SynthesisGame:
             for c in self.graph.succ[q]:
                 out.append((q, self.choice_info(c)[1]))
         return out
-
-    def edge_endpoints(self, edge: EnvEdge) -> tuple[int, int]:
-        q, i = edge
-        return q, self.choice_index(q, i)
 
     def describe_edge(self, edge: EnvEdge) -> str:
         q, i = edge
@@ -119,6 +114,11 @@ class SynthesisGame:
                     f"safety removal leaves reachable environment states {hit} without moves"
                 )
         return SynthesisGame(new_graph, self.parity, self.automaton, self.neutral_priority)
+
+    @cached_property
+    def repair(self) -> "Repair":
+        """The staged ``Repair``; raises ``SpecUnsatisfiable`` when there is none."""
+        return Repair(self, *compute_safety_assumption(self))
 
 
 def _reachable(g: GameGraph) -> set[int]:
@@ -174,7 +174,6 @@ class FairGame:
     parity: Parity
     sg: SynthesisGame
     wrapper_of: dict[int, int]  # wrapper index -> wrapped env state
-    wrapped: dict[int, int]  # env state -> wrapper index
 
 
 def dpa_to_synthesis_game(aut: DetParityAutomaton) -> SynthesisGame:
@@ -246,7 +245,7 @@ def apply_fairness(sg: SynthesisGame, fair: Iterable[EnvEdge]) -> FairGame:
     fair = sorted(set(fair))
     g = sg.graph
     if not fair:
-        return FairGame(g, sg.parity, sg, {}, {})
+        return FairGame(g, sg.parity, sg, {})
     present = set(sg.env_edges())
     for edge in fair:
         if edge not in present:
@@ -273,7 +272,7 @@ def apply_fairness(sg: SynthesisGame, fair: Iterable[EnvEdge]) -> FairGame:
         prios.append(sg.parity.priorities[q])
     initial = wrapped.get(g.initial, g.initial)
     graph = build_game(states, initial=initial)
-    return FairGame(graph, Parity(tuple(prios)), sg, wrapper_of, wrapped)
+    return FairGame(graph, Parity(tuple(prios)), sg, wrapper_of)
 
 
 def check_sufficiency(sg: SynthesisGame, asm: Assumption) -> bool:
@@ -527,3 +526,31 @@ def extract_transducer(
         moves.append(tuple(row))
     minimized, initial = _minimize_mealy(tuple(moves), 0)
     return Transducer(alphabet=alpha, initial=initial, moves=minimized)
+
+
+@dataclass(frozen=True)
+class Repair:
+    """The repair of ``sg``: the safety assumption and the game ``safe``
+    without its edges are given; the fairness search, the Streett automaton
+    and the transducer each run on first access, once."""
+
+    sg: SynthesisGame
+    safety: Assumption
+    safe: SynthesisGame
+
+    @cached_property
+    def assumption(self) -> Assumption:
+        """The safety edges plus a locally minimal set of fair edges."""
+        fair = minimize_fairness(self.safe)
+        return Assumption(self.safety.safety_edges, fair.fair_edges)
+
+    @cached_property
+    def automaton(self) -> StreettAutomaton:
+        return assumption_to_streett_automaton(self.sg, self.assumption)
+
+    @cached_property
+    def transducer(self) -> Transducer:
+        """A system that wins the fairness-wrapped safe game almost surely."""
+        fg = apply_fairness(self.safe, self.assumption.fair_edges)
+        _, strategy = almost_sure_solve(fg.graph, fg.parity, PLAYER0)
+        return extract_transducer(fg, strategy)

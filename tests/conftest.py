@@ -1,16 +1,30 @@
 """Shared fixtures: deterministic game samplers, the two worked-example
 specifications, and a strategy-soundness checker used by several suites."""
 import itertools
+import os
 from pathlib import Path
 
 import pytest
 
+import omegagames
 from omegagames.automata import DetParityAutomaton, PropAlphabet
 from omegagames.benchgen import SplitMix64
 from omegagames.graph import PLAYER0, PLAYER1, PROBABILISTIC, build_game
 from omegagames.objectives import Parity
 
 DATA = Path(__file__).parent / "data"
+
+
+def child_env(**extra):
+    """The current environment with the directory holding the imported
+    ``omegagames`` package first on ``PYTHONPATH``, so a child process runs
+    the same code as this one whatever its working directory (a relative
+    ``PYTHONPATH=src`` does not survive ``cwd=tmp_path``), plus ``extra``."""
+    env = os.environ.copy()
+    root = str(Path(omegagames.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    env.update(extra)
+    return env
 
 
 def sample_game(rng, max_states=6, max_degree=3, owners=(PLAYER0, PLAYER1, PROBABILISTIC)):

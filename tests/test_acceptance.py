@@ -6,14 +6,11 @@ oracles over thousands of games); both stay well inside their stated
 limits on either kernel.
 """
 import itertools
-import os
 import shutil
 import subprocess
 import sys
 import time
-from pathlib import Path
 
-import omegagames
 from omegagames.benchgen import (
     BenchSpec,
     SplitMix64,
@@ -41,6 +38,7 @@ from omegagames.synthesis import (
 )
 
 from .conftest import (
+    child_env,
     DATA,
     request_grant_automaton,
     repeated_grant_automaton,
@@ -53,17 +51,6 @@ from .conftest import (
 
 def _report(criterion, detail):
     print(f"\nACCEPTANCE {criterion} PASS: {detail}")
-
-
-def _child_env():
-    """The current environment with the directory holding the imported
-    ``omegagames`` package first on ``PYTHONPATH``, so a child process runs
-    the same code as this one whatever its working directory (a relative
-    ``PYTHONPATH=src`` does not survive ``cwd=tmp_path``)."""
-    env = os.environ.copy()
-    root = str(Path(omegagames.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
-    return env
 
 
 def test_criterion_1_repeated_grant_end_to_end():
@@ -344,7 +331,7 @@ def test_criterion_9_console_replay(tmp_path, monkeypatch):
         capture_output=True,
         text=True,
         cwd=tmp_path,
-        env=_child_env(),
+        env=child_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout == golden

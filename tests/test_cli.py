@@ -1,5 +1,8 @@
 """CLI subcommands and exit codes."""
+import io
 import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -9,7 +12,9 @@ from omegagames.graph import PLAYER0, build_game
 from omegagames.objectives import Parity
 from omegagames.structio import game_to_document, write_structure
 
-from .conftest import DATA
+from .conftest import DATA, child_env
+
+NOT_UTF8 = b'<?xml version="1.0"?>\n<structure \xe2\x28 />\n'
 
 
 @pytest.fixture
@@ -37,6 +42,52 @@ def test_solve_all_odd_loop_is_negative(workdir, capsys):
 
 def test_missing_file_is_input_error(workdir, capsys):
     assert cli_main(["solve", "nope.xml", "--player", "0"]) == 2
+
+
+def test_non_utf8_file_is_input_error(workdir, capsys):
+    (workdir / "bad.xml").write_bytes(NOT_UTF8)
+    for argv in (["solve", "bad.xml", "--player", "0"], ["synth", "check", "bad.xml"]):
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read bad.xml: ") and "utf-8" in err
+
+
+def test_repl_reports_file_errors_and_goes_on(workdir, capsys, monkeypatch):
+    """A missing file, a non-UTF-8 file and an unwritable path each print
+    ``error: …`` and the session evaluates the next line."""
+    (workdir / "bad.xml").write_bytes(NOT_UTF8)
+    session = "\n".join(
+        [
+            "$g = ParityGame readFile missing.xml",
+            "$g = ParityGame readFile bad.xml",
+            "$g = ParityGame readFile sample_game.xml",
+            f"$o = $g writeFile {workdir / 'no-such-dir' / 'x.xml'}",
+            "$g winningRegion 0",
+        ]
+    )
+    monkeypatch.setattr("sys.stdin", io.StringIO(session + "\n"))
+    assert cli_main(["repl"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "error: cannot read missing.xml: No such file or directory"
+    assert lines[1].startswith("error: cannot read bad.xml: ")
+    assert lines[2].startswith("ParityGame[")
+    assert lines[3].startswith("error: cannot write ") and "no-such-dir" in lines[3]
+    assert lines[4] == "{2, 3}"
+
+
+def test_bad_backend_variable_is_input_error():
+    """``OMEGAGAMES_BACKEND`` is resolved on first use, inside the CLI's
+    error handling, not when the package is imported."""
+    argv = ["solve", str(DATA / "sample_game.xml"), "--player", "0"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "omegagames", *argv],
+        capture_output=True,
+        text=True,
+        env=child_env(OMEGAGAMES_BACKEND="fortran"),
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: unknown kernel 'fortran'")
+    assert "Traceback" not in proc.stderr
 
 
 def test_malformed_file_is_input_error(workdir, capsys):

@@ -3,6 +3,7 @@ import shutil
 
 import pytest
 
+from omegagames import synthesis
 from omegagames.console import ConsoleState, eval_statement
 from omegagames.errors import ConsoleParseError, TypeMismatch, UnboundVariable
 
@@ -137,3 +138,34 @@ def test_session_replay_reproduces_golden_transcript(workdir):
     # same session again: byte-identical output
     _, outputs2 = run_lines(lines)
     assert "\n".join(outputs2) + "\n" == golden
+
+
+def test_console_runs_one_fairness_search_per_synthesis_game(workdir, monkeypatch):
+    """The repair stages of a ``$sg`` are computed once and shared by all
+    of its actions, and by its copies."""
+    import omegagames.console
+
+    shutil.copy(DATA / "repeated_grant.xml", workdir / "repeated_grant.xml")
+    search = synthesis.minimize_fairness
+    calls = []
+
+    def counted(sg):
+        calls.append(sg)
+        return search(sg)
+
+    for module in (synthesis, omegagames.console):
+        if getattr(module, "minimize_fairness", None) is search:
+            monkeypatch.setattr(module, "minimize_fairness", counted)
+    _, outputs = run_lines(
+        [
+            "$sg = SynthesisGame readFile repeated_grant.xml",
+            "$a = $sg fairnessAssumption",
+            "$auto = $sg assumptionAutomaton",
+            "$h = $sg",
+            "$t = $h transducer",
+        ]
+    )
+    assert len(calls) == 1
+    assert outputs[1] == "assumption safety=[] fair=[(0, 0)]"
+    assert outputs[2] == "StreettAutomaton[5 states, 1 pairs]"
+    assert outputs[3].startswith("transducer: 1 states")

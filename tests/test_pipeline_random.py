@@ -95,6 +95,8 @@ def test_pipeline_properties_on_random_specs():
         try:
             safety, safe = compute_safety_assumption(sg)
         except SpecUnsatisfiable:
+            with pytest.raises(SpecUnsatisfiable):
+                sg.repair
             unsat_count += 1
             assert not realizable
             assert sg.graph.initial not in cooperative_region(sg.graph, sg.parity)
@@ -110,11 +112,15 @@ def test_pipeline_properties_on_random_specs():
             realizable_count += 1
             assert safety.safety_edges == frozenset()
 
+        assert sg.repair.safety == safety
+        assert sg.repair.safe == safe
         try:
             fair = minimize_fairness(safe)
         except NoFairnessAssumptionExists:
             # the deficiency is on the system side: even full environment
             # fairness cannot help, and the specification was not realizable
+            with pytest.raises(NoFairnessAssumptionExists):
+                sg.repair.assumption
             unrepairable += 1
             assert not realizable
             full = Assumption(frozenset(), frozenset(safe.env_edges()))
@@ -144,6 +150,11 @@ def test_pipeline_properties_on_random_specs():
             assert ok
             transducer = extract_transducer(safe, witness)
         assumption_aut = assumption_to_streett_automaton(sg, combined)
+        # the staged repair gives the same results on one path, with or
+        # without fair edges
+        assert sg.repair.assumption == combined
+        assert sg.repair.automaton == assumption_aut
+        assert sg.repair.transducer == transducer
         alpha = sg.alphabet
         for istem, icyc in itertools.product(
             [(), (0,), (1,), (0, 1)], [(0,), (1,), (0, 1), (1, 0, 0)]

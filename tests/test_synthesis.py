@@ -1,16 +1,20 @@
 """Synthesis pipeline on the two worked request/grant examples."""
 import itertools
+import shlex
 
 import pytest
 
 from omegagames.automata import DetParityAutomaton, PropAlphabet
 from omegagames.errors import (
+    EnvDeadlocked,
     NoFairnessAssumptionExists,
     NotEnvEdge,
     SpecUnsatisfiable,
+    StrategyIncomplete,
 )
 from omegagames.graph import PLAYER0, PLAYER1, PROBABILISTIC
 from omegagames.solve import almost_sure_solve, cooperative_region
+from omegagames.strategies import Strategy
 from omegagames.synthesis import (
     Assumption,
     apply_fairness,
@@ -23,7 +27,7 @@ from omegagames.synthesis import (
     minimize_fairness,
 )
 
-from .conftest import request_grant_automaton, repeated_grant_automaton
+from .conftest import DATA, request_grant_automaton, repeated_grant_automaton
 
 
 @pytest.fixture(scope="module")
@@ -383,3 +387,40 @@ def test_memoryless_strategy_bounds_transducer_size(request_grant):
     # a memoryless strategy cannot need more than one transducer state per
     # environment state (plus don't-care tracking collapses on minimization)
     assert t.n <= safe.n_env
+
+
+def test_forbidding_every_initial_edge_deadlocks_the_environment(repeated_grant):
+    initial = repeated_grant.graph.initial
+    every = frozenset(e for e in repeated_grant.env_edges() if e[0] == initial)
+    with pytest.raises(EnvDeadlocked):
+        check_sufficiency(repeated_grant, Assumption(every, frozenset()))
+
+
+def test_transducer_of_an_empty_strategy_is_incomplete(repeated_grant):
+    with pytest.raises(StrategyIncomplete):
+        extract_transducer(repeated_grant, Strategy.memoryless(PLAYER0, {}))
+
+
+def test_repair_safety_stage_never_runs_the_fairness_search(monkeypatch, capsys):
+    """``sg.repair`` computes the safety stage on creation and the fairness
+    search only on demand: safety answers survive a failing search, in the
+    API, the CLI and the console."""
+    from omegagames import synthesis
+    from omegagames.cli import cli_main
+    from omegagames.console import ConsoleState, eval_statement
+
+    def fail(_sg):
+        raise RuntimeError("the fairness search ran")
+
+    monkeypatch.setattr(synthesis, "minimize_fairness", fail)
+    sg = dpa_to_synthesis_game(request_grant_automaton())
+    assert sg.repair.safety.safety_edges == frozenset({(0, 3)})
+    assert sg.repair is sg.repair
+    with pytest.raises(RuntimeError):
+        sg.repair.assumption
+    spec = str(DATA / "request_grant.xml")
+    assert cli_main(["synth", "safety", spec]) == 0
+    assert "1 forbidden edges" in capsys.readouterr().out
+    state, _ = eval_statement(ConsoleState(), f"$sg = SynthesisGame readFile {shlex.quote(spec)}")
+    _, out = eval_statement(state, "$s = $sg safetyAssumption")
+    assert out == "assumption safety=[(0, 3)] fair=[]"
