@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from .errors import IncompleteAutomaton
+from .objectives import Parity, Streett
 
 
 @dataclass(frozen=True)
@@ -74,22 +75,27 @@ class PropAlphabet:
         return frozenset(lits)
 
 
-def _loop_states(n, step, start):
-    """States visited infinitely often when iterating ``step`` from ``start``.
+def _run(fa, letters: Sequence[int], start: Optional[int]) -> int:
+    """State of a deterministic automaton after reading ``letters``."""
+    q = fa.initial if start is None else start
+    for letter in letters:
+        q = fa.delta[q][letter]
+    return q
 
-    ``step(q)`` returns (visited states, landing state) for one round.
-    """
-    seen = {}
-    trail = []
-    q = start
-    while q not in seen:
-        seen[q] = len(trail)
-        visited, q = step(q)
-        trail.append(visited)
-    inf = set()
-    for visited in trail[seen[q]:]:
-        inf.update(visited)
-    return inf
+
+def _lasso_inf(fa, stem: Sequence[int], cycle: Sequence[int]) -> set[int]:
+    """States visited infinitely often on the word stem cycle^w."""
+    if not cycle:
+        raise ValueError("lasso cycle must be nonempty")
+    q = _run(fa, stem, None)
+    round_start = {}  # state at the start of a round -> its index in visited
+    visited = []
+    while q not in round_start:
+        round_start[q] = len(visited)
+        for letter in cycle:
+            q = fa.delta[q][letter]
+            visited.append(q)
+    return set(visited[round_start[q]:])
 
 
 @dataclass(frozen=True)
@@ -156,26 +162,11 @@ class DetParityAutomaton:
         )
 
     def run(self, letters: Sequence[int], start: Optional[int] = None) -> int:
-        q = self.initial if start is None else start
-        for letter in letters:
-            q = self.delta[q][letter]
-        return q
+        return _run(self, letters, start)
 
     def accepts_lasso(self, stem: Sequence[int], cycle: Sequence[int]) -> bool:
         """Acceptance of the ultimately periodic word stem cycle^w."""
-        if not cycle:
-            raise ValueError("lasso cycle must be nonempty")
-        start = self.run(stem)
-
-        def one_round(q):
-            visited = []
-            for letter in cycle:
-                q = self.delta[q][letter]
-                visited.append(q)
-            return visited, q
-
-        inf = _loop_states(self.n, one_round, start)
-        return min(self.priorities[q] for q in inf) % 2 == 0
+        return Parity(self.priorities).accepts_inf(_lasso_inf(self, stem, cycle))
 
 
 @dataclass(frozen=True)
@@ -190,22 +181,8 @@ class StreettAutomaton:
     labels: tuple[Optional[str], ...] = ()
 
     def run(self, letters: Sequence[int], start: Optional[int] = None) -> int:
-        q = self.initial if start is None else start
-        for letter in letters:
-            q = self.delta[q][letter]
-        return q
+        return _run(self, letters, start)
 
     def accepts_lasso(self, stem: Sequence[int], cycle: Sequence[int]) -> bool:
-        if not cycle:
-            raise ValueError("lasso cycle must be nonempty")
-        start = self.run(stem)
-
-        def one_round(q):
-            visited = []
-            for letter in cycle:
-                q = self.delta[q][letter]
-                visited.append(q)
-            return visited, q
-
-        inf = _loop_states(self.n, one_round, start)
-        return all(not (inf & q) or (inf & r) for q, r in self.pairs)
+        """Acceptance of the ultimately periodic word stem cycle^w."""
+        return Streett(self.pairs).accepts_inf(_lasso_inf(self, stem, cycle))

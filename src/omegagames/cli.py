@@ -20,6 +20,7 @@ from .errors import (
 )
 from .graph import GameGraph
 from .pgsolver import export_pgsolver, import_pgsolver
+from .reductions import to_two_player_parity
 from .solve import almost_sure_solve, cooperative_region
 from .synthesis import check_realizability, dpa_to_synthesis_game
 
@@ -48,40 +49,36 @@ def _emit(text: str, out_path):
         sys.stdout.write(text)
 
 
+def _verdict(game, region) -> int:
+    """Positive when the region holds the initial state, or, in a game
+    without one, when it is not empty."""
+    if game.initial is None:
+        return EXIT_OK if region.states else EXIT_NEGATIVE
+    return EXIT_OK if game.initial in region else EXIT_NEGATIVE
+
+
 def _cmd_solve(args) -> int:
     game, obj = _load_game(args.file)
     region, strategy = almost_sure_solve(game, obj, args.player)
     print(f"winningRegion {args.player} = {region}")
     if args.strategy:
         print(strategy)
-    if game.initial is None:
-        return EXIT_OK if region.states else EXIT_NEGATIVE
-    return EXIT_OK if game.initial in region else EXIT_NEGATIVE
+    return _verdict(game, region)
 
 
 def _cmd_coop(args) -> int:
     game, obj = _load_game(args.file)
     region = cooperative_region(game, obj)
     print(f"cooperativeWinningRegion = {region}")
-    if game.initial is None:
-        return EXIT_OK if region.states else EXIT_NEGATIVE
-    return EXIT_OK if game.initial in region else EXIT_NEGATIVE
+    return _verdict(game, region)
 
 
 def _cmd_reduce(args) -> int:
-    from .objectives import Rabin, Streett
-    from .reductions import lar_reduce, reduce_stochastic_parity
-
-    game, obj = _load_game(args.file)
-    if isinstance(obj, (Rabin, Streett)):
-        lar = lar_reduce(game, obj)
-        game, obj = lar.game, lar.parity
-    red = reduce_stochastic_parity(game, obj)
-    doc = structio.game_to_document(red.game, red.parity)
+    game, parity = to_two_player_parity(*_load_game(args.file))
+    doc = structio.game_to_document(game, parity)
     _emit(structio.write_structure(doc), args.output)
     print(
-        f"reduced to a 2-player parity game: {red.game.n} states, "
-        f"{red.game.edge_count} edges",
+        f"reduced to a 2-player parity game: {game.n} states, {game.edge_count} edges",
         file=sys.stderr,
     )
     return EXIT_OK

@@ -18,7 +18,7 @@ from . import structio
 from .errors import ConsoleParseError, TypeMismatch, UnboundVariable
 from .graph import GameGraph
 from .objectives import Parity, Rabin, Streett
-from .reductions import lar_reduce, reduce_stochastic_parity
+from .reductions import to_two_player_parity
 from .solve import almost_sure_solve, cooperative_region
 from .synthesis import SynthesisGame, check_realizability, check_sufficiency, dpa_to_synthesis_game
 
@@ -212,12 +212,7 @@ def _player_arg(args):
 
 
 def _to_deterministic(value: Value) -> Value:
-    game, obj = _game_of(value)
-    if isinstance(obj, (Rabin, Streett)):
-        lar = lar_reduce(game, obj)
-        game, obj = lar.game, lar.parity
-    red = reduce_stochastic_parity(game, obj)
-    return Value("ParityGame", (red.game, red.parity))
+    return Value("ParityGame", to_two_player_parity(*_game_of(value)))
 
 
 def _coop(value: Value):

@@ -43,7 +43,8 @@ class NoPairs(OmegagamesError):
 
 
 class TooLarge(OmegagamesError):
-    """The enumeration oracle was asked to solve a game above its state bound."""
+    """An input exceeds a solver's bound: the enumeration oracle's state
+    bound, or a priority the fixpoint kernels cannot hold (above 2**31 - 1)."""
 
 
 class UndefinedOnRegion(OmegagamesError):

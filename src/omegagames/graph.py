@@ -61,12 +61,6 @@ class GameGraph:
     def edge_count(self) -> int:
         return sum(len(ss) for ss in self.succ)
 
-    def owner(self, s: int) -> int:
-        return self.owners[s]
-
-    def successors(self, s: int) -> tuple[int, ...]:
-        return self.succ[s]
-
     def label(self, s: int) -> Optional[str]:
         return self.labels[s] if self.labels else None
 
@@ -83,7 +77,7 @@ class GameGraph:
 
     @property
     def is_two_player(self) -> bool:
-        return all(o != PROBABILISTIC for o in self.owners)
+        return PROBABILISTIC not in self.owners
 
     @cached_property
     def violations(self) -> tuple[Violation, ...]:

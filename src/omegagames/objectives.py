@@ -33,9 +33,6 @@ class Parity:
     def max_priority(self) -> int:
         return max(self.priorities, default=0)
 
-    def priority(self, s: int) -> int:
-        return self.priorities[s]
-
     def accepts_inf(self, states: Iterable[int]) -> bool:
         return min(self.priorities[s] for s in states) % 2 == 0
 

@@ -11,11 +11,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Optional
 
 from .errors import NoPairs, UndefinedOnRegion
 from .graph import PLAYER0, PLAYER1, PROBABILISTIC, GameGraph, build_game
-from .objectives import Parity, Rabin, Streett
+from .objectives import Objective, Parity, Rabin, Streett, complement
 from .strategies import Strategy
 
 
@@ -23,21 +23,27 @@ from .strategies import Strategy
 class ReductionResult:
     """A reduced game plus the bookkeeping to map answers back.
 
-    ``origin_map`` sends reduced states to the original state they stand
-    for: for gadget reductions it is defined exactly on the copies of
-    original states, for record products it projects every product state to
-    its first component.  ``copy_map`` points each original state at its
-    distinguished copy.  ``memory_map`` (record products only) holds the
-    record attached to each product state.
+    Every reduction keeps the original states at indices 0..n-1 of the
+    reduced game (n = ``source.n``): reduced state ``s < n`` is the copy of
+    original state ``s``, and the states above are gadget or product states.
+    Record products also carry, per product state, the original state it
+    projects to (``origin_map``) and its record (``memory_map``); below n
+    these are ``s`` itself and the initial record.
     """
 
     source: GameGraph
     game: GameGraph
     parity: Parity
-    origin_map: Mapping[int, int]
-    copy_map: Mapping[int, int]
-    memory_map: Optional[Mapping[int, tuple]] = None
+    origin_map: Optional[tuple[int, ...]] = None
+    memory_map: Optional[tuple[tuple, ...]] = None
     kind: str = "identity"
+
+    def lift(self, states: Iterable[int]) -> frozenset[int]:
+        """The original states whose copies are in ``states``."""
+        if self.game is self.source:
+            return frozenset(states)
+        n = self.source.n
+        return frozenset(s for s in states if s < n)
 
 
 def even_ceiling(value: int) -> int:
@@ -59,10 +65,8 @@ def reduce_stochastic_parity(g: GameGraph, obj: Parity) -> ReductionResult:
     g.require_valid()
     if len(obj.priorities) != g.n:
         raise ValueError("objective does not match the game")
-    identity = {s: s for s in range(g.n)}
-    prob = [s for s in range(g.n) if g.owners[s] == PROBABILISTIC]
-    if not prob:
-        return ReductionResult(g, g, obj, identity, identity, kind="identity")
+    if g.is_two_player:
+        return ReductionResult(g, g, obj)
     estar = even_ceiling(obj.max_priority)
     neutral = estar + 2
     evens = list(range(0, estar + 1, 2))
@@ -74,7 +78,7 @@ def reduce_stochastic_parity(g: GameGraph, obj: Parity) -> ReductionResult:
         else:
             states.append([g.owners[s], list(g.succ[s]), g.label(s)])
         prios.append(obj.priorities[s])
-    for s in prob:
+    for s in g.probabilistic_states:
         support = list(g.support(s))
         for e in evens:
             decide = len(states)
@@ -86,13 +90,11 @@ def reduce_stochastic_parity(g: GameGraph, obj: Parity) -> ReductionResult:
             prios.append(e + 1)
             states[s][1].append(decide)
     reduced = build_game([tuple(st) for st in states], initial=g.initial)
-    return ReductionResult(
-        g, reduced, Parity(tuple(prios)), identity, identity, kind="gadget"
-    )
+    return ReductionResult(g, reduced, Parity(tuple(prios)), kind="gadget")
 
 
 def dual_game(g: GameGraph, obj: Parity) -> tuple[GameGraph, Parity]:
-    """Owners swapped and every priority shifted up by 1 (parity complement)."""
+    """Owners swapped and the objective complemented."""
     swap = {PLAYER0: PLAYER1, PLAYER1: PLAYER0, PROBABILISTIC: PROBABILISTIC}
     dual = GameGraph(
         owners=tuple(swap[o] for o in g.owners),
@@ -101,7 +103,7 @@ def dual_game(g: GameGraph, obj: Parity) -> tuple[GameGraph, Parity]:
         labels=g.labels,
         initial=g.initial,
     )
-    return dual, Parity(tuple(p + 1 for p in obj.priorities), count=obj.count + 1)
+    return dual, complement(obj)
 
 
 def _state_colors(g: GameGraph, pairs) -> list[int]:
@@ -186,12 +188,19 @@ def lar_reduce(g: GameGraph, obj: Streett | Rabin) -> ReductionResult:
         if g.owners[s] == PROBABILISTIC:
             weights[idx] = [w for _t, w in g.dists[s]]
     product = build_game(states, initial=g.initial, weights=weights)
-    origin = {idx: s for idx, (s, _rec) in enumerate(order)}
-    copy_map = {s: s for s in range(g.n)}
-    memory = {idx: rec for idx, (_s, rec) in enumerate(order)}
-    return ReductionResult(
-        g, product, Parity(tuple(prios)), origin, copy_map, memory_map=memory, kind="lar"
-    )
+    origin = tuple(s for s, _rec in order)
+    memory = tuple(rec for _s, rec in order)
+    return ReductionResult(g, product, Parity(tuple(prios)), origin, memory, kind="lar")
+
+
+def to_two_player_parity(g: GameGraph, obj: Objective) -> tuple[GameGraph, Parity]:
+    """2-player parity game for any objective: the record product for
+    Rabin/Streett, then the probabilistic-state gadget."""
+    if isinstance(obj, (Streett, Rabin)):
+        lar = lar_reduce(g, obj)
+        g, obj = lar.game, lar.parity
+    red = reduce_stochastic_parity(g, obj)
+    return red.game, red.parity
 
 
 def lift_lasso(res: ReductionResult, lasso) -> "Lasso":
@@ -217,17 +226,14 @@ def lift_lasso(res: ReductionResult, lasso) -> "Lasso":
             f"({origin[idx]}, {t}) is not an edge of the original game"
         )
 
-    stem, cycle = list(lasso.stem), list(lasso.cycle)
-    if stem:
-        cur = res.copy_map[stem[0]]
-        prod_stem = [cur]
-        for t in stem[1:]:
-            cur = step(cur, t)
-            prod_stem.append(cur)
-        cur = step(cur, cycle[0])
-    else:
-        cur = res.copy_map[cycle[0]]
-        prod_stem = []
+    # original states are their own copies with the initial record
+    cycle = list(lasso.cycle)
+    play = list(lasso.stem) + cycle[:1]
+    cur = play[0]
+    prod_stem = []
+    for t in play[1:]:
+        prod_stem.append(cur)
+        cur = step(cur, t)
     # cur sits at cycle position 0; loop until a (position, state) repeats
     seen = {}
     trail = []
@@ -260,12 +266,12 @@ def pullback_strategy(
     source = res.source
     if res.kind in ("identity", "gadget"):
         choices = {}
-        for orig, copy in res.copy_map.items():
-            if source.owners[orig] != player:
+        for s in range(source.n):
+            if source.owners[s] != player:
                 continue  # announcement states are player 0's but not the player's
-            t = reduced_strategy.choice(copy)
+            t = reduced_strategy.choice(s)
             if t is not None:
-                choices[orig] = res.origin_map.get(t, t)
+                choices[s] = t
         out = Strategy.memoryless(player, choices)
     elif res.kind == "lar":
         origin = res.origin_map
@@ -283,7 +289,7 @@ def pullback_strategy(
             t = reduced_strategy.choice(idx)
             if t is not None:
                 choices[(rec, s)] = origin[t]
-        r_init = memory[res.copy_map[0]] if res.copy_map else ()
+        r_init = memory[0] if memory else ()
         out = Strategy(
             player=player,
             memory_initial=r_init,

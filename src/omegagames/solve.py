@@ -6,6 +6,7 @@ complemented), so a single player-0 code path serves both players.
 """
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 from . import _kernels
@@ -16,6 +17,7 @@ from .reductions import dual_game, lar_reduce, pullback_strategy, reduce_stochas
 from .strategies import Region, Strategy
 
 ORACLE_STATE_BOUND = 10
+KERNEL_PRIORITY_BOUND = 2**31 - 1  # the compiled kernel holds priorities in C ints
 
 
 def _check_parity(g: GameGraph, obj: Parity):
@@ -37,6 +39,11 @@ def zielonka_solve(g: GameGraph, obj: Parity) -> tuple[Region, Region, Strategy,
         raise NotDeterministicGame("zielonka_solve requires a game without probabilistic states")
     g.require_valid()
     _check_parity(g, obj)
+    if obj.max_priority > KERNEL_PRIORITY_BOUND:
+        raise TooLarge(
+            f"priority {obj.max_priority} is above {KERNEL_PRIORITY_BOUND}, "
+            "the largest the fixpoint kernels hold"
+        )
     flat = g.flat
     winner, ch0, ch1 = _kernels.active().solve_parity(
         flat.n, flat.owners, list(obj.priorities),
@@ -72,8 +79,7 @@ def cooperative_region(g: GameGraph, obj: Objective) -> Region:
     if isinstance(obj, (Streett, Rabin)):
         lar = lar_reduce(g, obj)
         inner = cooperative_region(lar.game, lar.parity).states
-        region = frozenset(orig for orig, copy in lar.copy_map.items() if copy in inner)
-        return Region(region, PLAYER0, "cooperative")
+        return Region(lar.lift(inner), PLAYER0, "cooperative")
     _check_parity(g, obj)
     prio = obj.priorities
     targets = set()
@@ -328,20 +334,6 @@ def _almost_sure_reach_inside(n, succ, free, region, targets):
         current = reach
 
 
-def _almost_sure_parity(g: GameGraph, obj: Parity) -> tuple[Region, Strategy]:
-    """Player-0 almost-sure region and strategy of a 2.5-player parity game."""
-    red = reduce_stochastic_parity(g, obj)
-    w0, _, s0, _ = zielonka_solve(red.game, red.parity)
-    if red.kind == "identity":
-        return Region(w0.states, PLAYER0, "almost-sure"), s0
-    region = frozenset(
-        orig for orig, copy in red.copy_map.items() if copy in w0.states
-    )
-    required = [s for s in region if g.owners[s] == PLAYER0]
-    strategy = pullback_strategy(red, s0, require=required)
-    return Region(region, PLAYER0, "almost-sure"), strategy
-
-
 def almost_sure_solve(g: GameGraph, obj: Objective, player: int) -> tuple[Region, Strategy]:
     """Almost-sure winning region and witness strategy for ``player``.
 
@@ -353,24 +345,17 @@ def almost_sure_solve(g: GameGraph, obj: Objective, player: int) -> tuple[Region
     if isinstance(obj, (Streett, Rabin)):
         lar = lar_reduce(g, obj)
         inner_region, inner_strategy = almost_sure_solve(lar.game, lar.parity, player)
-        region = frozenset(
-            orig for orig, copy in lar.copy_map.items() if copy in inner_region.states
-        )
         strategy = pullback_strategy(lar, inner_strategy)
-        return Region(region, player, "almost-sure"), strategy
+        return Region(lar.lift(inner_region.states), player, "almost-sure"), strategy
     _check_parity(g, obj)
-    if player == PLAYER0:
-        return _almost_sure_parity(g, obj)
-    if player != PLAYER1:
+    if player == PLAYER1:
+        g, obj = dual_game(g, obj)
+    elif player != PLAYER0:
         raise ValueError(f"player must be 0 or 1, got {player}")
-    gd, objd = dual_game(g, obj)
-    region, strategy = _almost_sure_parity(gd, objd)
-    return (
-        Region(region.states, PLAYER1, "almost-sure"),
-        Strategy(
-            player=PLAYER1,
-            memory_initial=strategy.memory_initial,
-            choices=strategy.choices,
-            updates=strategy.updates,
-        ),
-    )
+    red = reduce_stochastic_parity(g, obj)
+    w0, _, strategy, _ = zielonka_solve(red.game, red.parity)
+    region = red.lift(w0.states)
+    if red.kind == "gadget":
+        required = [s for s in region if g.owners[s] == PLAYER0]
+        strategy = pullback_strategy(red, strategy, require=required)
+    return Region(region, player, "almost-sure"), dataclasses.replace(strategy, player=player)

@@ -1,12 +1,19 @@
 """Shared fixtures: deterministic game samplers, the two worked-example
-specifications, and a strategy-soundness checker used by several suites."""
+specifications, a strategy-soundness checker used by several suites, and
+the compiled kernel built from the shipped ``_core.c``."""
+import importlib.util
 import itertools
 import os
+import shlex
+import shutil
+import subprocess
+import sysconfig
 from pathlib import Path
 
 import pytest
 
 import omegagames
+from omegagames import _kernels
 from omegagames.automata import DetParityAutomaton, PropAlphabet
 from omegagames.benchgen import SplitMix64
 from omegagames.graph import PLAYER0, PLAYER1, PROBABILISTIC, build_game
@@ -159,3 +166,34 @@ def strategy_wins_almost_surely(game, obj, player, region, strategy):
 @pytest.fixture
 def rng():
     return SplitMix64(0xC0FFEE)
+
+
+@pytest.fixture(scope="session")
+def compiled_kernel(tmp_path_factory):
+    """The compiled kernel, built from the shipped ``_core.c`` with the
+    interpreter's C compiler and headers.  Skips when there is no compiler;
+    a failed build fails the test."""
+    link = shlex.split(sysconfig.get_config_var("LDSHARED") or "cc -shared")
+    if shutil.which(link[0]) is None:
+        pytest.skip(f"no C compiler ({link[0]}) to build the compiled kernel")
+    source = Path(_kernels.__file__).parent / "_core.c"
+    target = tmp_path_factory.mktemp("kernel") / ("_core" + sysconfig.get_config_var("EXT_SUFFIX"))
+    cmd = [
+        *link, *shlex.split(sysconfig.get_config_var("CCSHARED") or "-fPIC"), "-O2",
+        "-I" + sysconfig.get_paths()["include"], str(source), "-o", str(target),
+    ]
+    proc = subprocess.run(cmd, capture_output=True, text=True)
+    if proc.returncode:
+        pytest.fail(f"building the compiled kernel failed:\n{shlex.join(cmd)}\n{proc.stderr}")
+    spec = importlib.util.spec_from_file_location("omegagames._kernels._core", target)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(params=["python", "compiled"])
+def kernel_name(request, monkeypatch):
+    """Each kernel's name, with the built compiled kernel installed for the test."""
+    if request.param == "compiled":
+        monkeypatch.setattr(_kernels, "_core", request.getfixturevalue("compiled_kernel"))
+    return request.param

@@ -157,5 +157,4 @@ def test_reduction_region_identity_on_benchmark_games():
         direct, _ = almost_sure_solve(g, par, 0)
         red = reduce_stochastic_parity(g, par)
         w0, _, _, _ = zielonka_solve(red.game, red.parity)
-        lifted = {orig for orig, copy in red.copy_map.items() if copy in w0.states}
-        assert lifted == direct.states
+        assert red.lift(w0.states) == {s for s in w0.states if s < g.n} == direct.states

@@ -107,6 +107,18 @@ def test_unbuilt_compiled_kernel_is_input_error(workdir, capsys):
     assert "not built" in capsys.readouterr().err
 
 
+def test_priority_beyond_the_kernels_is_input_error(kernel_name, tmp_path, capsys):
+    """Priorities above 2**31 - 1 do not fit the compiled kernel's C ints;
+    every kernel refuses them with a typed error."""
+    path = tmp_path / "huge.gm"
+    path.write_text("parity 1;\n0 99999999999999999999 0 1;\n1 2 1 0;\n", encoding="utf-8")
+    for player in ("0", "1"):
+        argv = ["--backend", kernel_name, "solve", str(path), "--player", player]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(2**31 - 1) in err
+
+
 def test_synth_check_unrealizable(workdir, capsys):
     assert cli_main(["synth", "check", "repeated_grant.xml"]) == 1
     assert "unrealizable" in capsys.readouterr().out

@@ -15,10 +15,6 @@ from omegagames.graph import PLAYER0, PLAYER1
 
 from .conftest import DATA, sample_game, sample_parity
 
-needs_compiled = pytest.mark.skipif(
-    "compiled" not in _kernels.available(), reason="compiled kernel not built"
-)
-
 
 def test_backend_selection():
     assert _kernels.resolve("python").NAME == "python"
@@ -104,10 +100,9 @@ def test_shipped_core_c_matches_core_pyx():
     )
 
 
-@needs_compiled
-def test_attract_agreement_on_random_games():
+def test_attract_agreement_on_random_games(compiled_kernel):
     pure = _kernels.resolve("python")
-    fast = _kernels.resolve("compiled")
+    fast = compiled_kernel
     rng = SplitMix64(0xA77AC7)
     for _ in range(200):
         g = sample_game(rng, max_states=8)
@@ -125,10 +120,9 @@ def test_attract_agreement_on_random_games():
         assert pure.attract(*args) == fast.attract(*args)
 
 
-@needs_compiled
-def test_solve_parity_agreement_on_random_games():
+def test_solve_parity_agreement_on_random_games(compiled_kernel):
     pure = _kernels.resolve("python")
-    fast = _kernels.resolve("compiled")
+    fast = compiled_kernel
     rng = SplitMix64(0x50CCE4)
     for _ in range(300):
         g = sample_game(rng, max_states=9, owners=(PLAYER0, PLAYER1))
@@ -141,8 +135,7 @@ def test_solve_parity_agreement_on_random_games():
         assert pure.solve_parity(*args) == fast.solve_parity(*args)
 
 
-@needs_compiled
-def test_solve_parity_agreement_on_benchmark_game():
+def test_solve_parity_agreement_on_benchmark_game(compiled_kernel):
     game, parity = random_game(BenchSpec(400, 1600, 3, 0, seed=17))
     flat = game.flat
     args = (
@@ -150,7 +143,7 @@ def test_solve_parity_agreement_on_benchmark_game():
         flat.succ_ptr, flat.succ, flat.pred_ptr, flat.pred,
     )
     pure = _kernels.resolve("python").solve_parity(*args)
-    fast = _kernels.resolve("compiled").solve_parity(*args)
+    fast = compiled_kernel.solve_parity(*args)
     assert pure == fast
 
 
@@ -159,10 +152,10 @@ def test_pure_solver_handles_empty_game():
     assert pure.solve_parity(0, [], [], [0], [], [0], []) == ([], [], [])
 
 
-@needs_compiled
-def test_full_pipeline_identical_across_backends():
+def test_full_pipeline_identical_across_backends(compiled_kernel, monkeypatch):
     """Regions and witness strategies of the almost-sure pipeline must be
     bit-identical whichever kernel computed them."""
+    monkeypatch.setattr(_kernels, "_core", compiled_kernel)
     from omegagames.objectives import Rabin, Streett
     from omegagames.solve import almost_sure_solve
 

@@ -8,12 +8,14 @@ from omegagames.errors import NoPairs, UndefinedOnRegion
 from omegagames.graph import PLAYER0, PLAYER1, PROBABILISTIC, build_game
 from omegagames.objectives import Lasso, Parity, Rabin, Streett, accepts_lasso
 from omegagames.reductions import (
+    _state_colors,
     dual_game,
     even_ceiling,
     lar_reduce,
     lift_lasso,
     pullback_strategy,
     reduce_stochastic_parity,
+    to_two_player_parity,
 )
 from omegagames.solve import zielonka_solve
 from omegagames.strategies import Strategy
@@ -25,7 +27,7 @@ def test_reduce_without_probabilistic_states_is_identity():
     g = build_game([(PLAYER0, [1]), (PLAYER1, [0])], initial=0)
     res = reduce_stochastic_parity(g, Parity((0, 1)))
     assert res.game is g and res.kind == "identity"
-    assert res.origin_map == {0: 0, 1: 1}
+    assert res.lift({0, 1}) == {0, 1} and res.lift({1}) == {1}
 
 
 def test_gadget_shape_and_size_bound():
@@ -93,8 +95,12 @@ def test_lar_lasso_equivalence_random():
     for _ in range(150):
         g = sample_game(rng, max_states=5, owners=(PLAYER0, PLAYER1))
         pairs = sample_pairs(rng, g.n)
+        r_init = tuple(sorted(set(_state_colors(g, pairs))))
         for obj in (Streett(pairs), Rabin(pairs)):
             res = lar_reduce(g, obj)
+            # originals keep their indices, paired with the initial record
+            for s in range(g.n):
+                assert res.origin_map[s] == s and res.memory_map[s] == r_init
             for _ in range(4):
                 lasso = sample_lasso(rng, g)
                 assert accepts_lasso(obj, lasso) == accepts_lasso(
@@ -122,6 +128,23 @@ def test_lar_lasso_equivalence_exhaustive_two_states():
                             assert accepts_lasso(obj, lasso) == accepts_lasso(
                                 res.parity, lift_lasso(res, lasso)
                             )
+
+
+def test_to_two_player_parity_is_the_product_then_the_gadget():
+    rng = SplitMix64(0x2B1A)
+    for trial in range(60):
+        g = sample_game(rng, max_states=5)
+        if trial % 3:
+            pairs = sample_pairs(rng, g.n)
+            obj = Streett(pairs) if trial % 2 else Rabin(pairs)
+            lar = lar_reduce(g, obj)
+            red = reduce_stochastic_parity(lar.game, lar.parity)
+        else:
+            obj = sample_parity(rng, g.n)
+            red = reduce_stochastic_parity(g, obj)
+        game, parity = to_two_player_parity(g, obj)
+        assert game.is_two_player
+        assert (game, parity) == (red.game, red.parity)
 
 
 def test_pullback_identity_reduction():
