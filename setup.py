@@ -2,7 +2,9 @@
 
 The package is fully functional without the extension (a pure-Python
 kernel is selected at import time); compiling it just makes large-game
-solving much faster.  Set OMEGAGAMES_PURE=1 to skip the build.
+solving much faster.  With Cython the extension is built from _core.pyx,
+without it from the shipped, generated _core.c.  Set OMEGAGAMES_PURE=1 to
+skip the build.
 """
 import os
 
@@ -30,6 +32,12 @@ if os.environ.get("OMEGAGAMES_PURE") != "1":
             },
         )
     except ImportError:
-        ext_modules = []
+        ext_modules = [
+            Extension(
+                "omegagames._kernels._core",
+                ["src/omegagames/_kernels/_core.c"],
+                extra_compile_args=["-O3"],
+            )
+        ]
 
 setup(ext_modules=ext_modules)

@@ -122,4 +122,6 @@ class UnboundVariable(OmegagamesError):
 
 
 class TypeMismatch(OmegagamesError):
-    """A console action is not available on the object it was applied to."""
+    """An operation is not available on the object it was applied to: a
+    console action on the wrong kind of value, or a parity-only export of
+    a Rabin/Streett game."""

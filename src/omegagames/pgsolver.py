@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import NotDeterministicGame, StructureSyntaxError
+from .errors import NotDeterministicGame, StructureSyntaxError, TypeMismatch
 from .graph import GameGraph, build_game
 from .objectives import Parity
 
@@ -29,6 +29,11 @@ def export_pgsolver(g: GameGraph, obj: Parity) -> str:
     """Serialize a 2-player parity game for max-parity solvers."""
     if not g.is_two_player:
         raise NotDeterministicGame("PGSolver export needs a game without probabilistic states")
+    if not isinstance(obj, Parity):
+        raise TypeMismatch(
+            f"PGSolver export needs a parity objective, got a {obj}; "
+            "turn the game into a parity game with `omegagames reduce` first"
+        )
     g.require_valid()
     if len(obj.priorities) != g.n:
         raise ValueError("objective does not match the game")

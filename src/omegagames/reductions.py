@@ -2,9 +2,9 @@
 
 * stochastic parity -> 2-player parity, via an announce/accept/challenge
   gadget replacing each probabilistic state;
-* Rabin/Streett -> parity, via a latest-appearance-record product over
-  state colors (works for 2- and 2.5-player games alike, since the record
-  is deterministic memory);
+* Rabin/Streett -> parity, via an index-appearance-record product over
+  the pair indices (works for 2- and 2.5-player games alike, since the
+  record is deterministic memory);
 * the dual game (owners swapped, objective complemented) used to solve for
   player 1 with the player-0 pipeline.
 """
@@ -106,50 +106,37 @@ def dual_game(g: GameGraph, obj: Parity) -> tuple[GameGraph, Parity]:
     return dual, complement(obj)
 
 
-def _state_colors(g: GameGraph, pairs) -> list[int]:
-    """Bit vector of Q/R memberships per state (bit 2i: Q_i, bit 2i+1: R_i)."""
-    colors = [0] * g.n
-    for i, (q, r) in enumerate(pairs):
-        for s in q:
-            colors[s] |= 1 << (2 * i)
-        for s in r:
-            colors[s] |= 1 << (2 * i + 1)
-    return colors
-
-
-def _front_satisfies(front_mask: int, npairs: int, rabin: bool) -> bool:
-    for i in range(npairs):
-        hit_q = front_mask & (1 << (2 * i))
-        hit_r = front_mask & (1 << (2 * i + 1))
-        if rabin:
-            if hit_q and not hit_r:
-                return True
-        elif hit_q and not hit_r:
-            return False
-    return not rabin
-
-
 def lar_reduce(g: GameGraph, obj: Streett | Rabin) -> ReductionResult:
-    """Parity game from a Rabin/Streett game via a latest-appearance record.
+    """Parity game from a Rabin/Streett game via an index appearance record.
 
-    The record is a permutation of the colors occurring in the game; the
-    visited state's color moves to the front, and a hit at position h emits
-    2h when the first h colors jointly satisfy the pair condition, 2h+1
-    otherwise.  That max-even reading is flipped into the global min-even
-    convention.  A product state pairs a game state with the record
-    *before* its color is applied; the distinguished copies
-    (state, initial record) occupy indices 0..n-1.
+    The record is a permutation of the pair indices ``0..k-1``.  Visiting a
+    state moves the indices of the pairs whose R contains it to the front,
+    in their old relative order.  With 1-based positions in the old record,
+    let f be the last position of such an index and e the last position of
+    an index whose Q contains the state (0 when there is none); the visit
+    emits 2e if e > f, else 2f+1, plus 1 for Streett.  The indices whose R
+    recurs hold the front positions in the limit, so the maximum recurring
+    value is even iff the objective holds; it is flipped into the global
+    min-even convention.  A product state pairs a game state with the
+    record *before* the visit, so there are at most n*k! of them; the
+    distinguished copies (state, initial record) occupy indices 0..n-1.
     """
     if not isinstance(obj, (Streett, Rabin)):
         raise TypeError(f"Rabin or Streett objective required, got {obj!r}")
     if not obj.pairs:
         raise NoPairs("objective has no request/response pairs")
     g.require_valid()
-    rabin = isinstance(obj, Rabin)
     npairs = len(obj.pairs)
-    colors = _state_colors(g, obj.pairs)
-    r_init = tuple(sorted(set(colors)))
-    flip_base = 2 * len(r_init) + 2  # even, above every record priority
+    in_q: list[list[int]] = [[] for _ in range(g.n)]
+    in_r: list[list[int]] = [[] for _ in range(g.n)]
+    for i, (q, r) in enumerate(obj.pairs):
+        for s in q:
+            in_q[s].append(i)
+        for s in r:
+            in_r[s].append(i)
+    shift = 0 if isinstance(obj, Rabin) else 1
+    flip_base = 2 * npairs + 2  # even, and no record priority exceeds it
+    r_init = tuple(range(npairs))
 
     index: dict[tuple[int, tuple], int] = {}
     order: list[tuple[int, tuple]] = []
@@ -171,15 +158,13 @@ def lar_reduce(g: GameGraph, obj: Streett | Rabin) -> ReductionResult:
     while qi < len(order):
         s, rec = order[qi]
         qi += 1
-        color = colors[s]
-        h = rec.index(color) + 1
-        moved = (color,) + tuple(c for c in rec if c != color)
-        front = 0
-        for c in moved[:h]:
-            front |= c
-        lar_priority = 2 * h if _front_satisfies(front, npairs, rabin) else 2 * h + 1
-        prios.append(flip_base - lar_priority)
-        succ_out.append([intern(t, moved) for t in g.succ[s]])
+        hit = in_r[s]
+        f = max((rec.index(i) + 1 for i in hit), default=0)
+        e = max((rec.index(i) + 1 for i in in_q[s]), default=0)
+        prios.append(flip_base - (2 * e if e > f else 2 * f + 1) - shift)
+        if hit:
+            rec = tuple(i for i in rec if i in hit) + tuple(i for i in rec if i not in hit)
+        succ_out.append([intern(t, rec) for t in g.succ[s]])
 
     states = []
     weights = {}

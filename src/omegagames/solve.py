@@ -69,7 +69,7 @@ def cooperative_region(g: GameGraph, obj: Objective) -> Region:
     """States from which some path (players cooperating) satisfies the
     objective.
 
-    Rabin/Streett objectives go through the latest-appearance-record
+    Rabin/Streett objectives go through the index-appearance-record
     product.  For parity: reachability of a nontrivial SCC whose minimum
     priority is witnessed even within the priority-restricted subgraph.
     """
@@ -337,7 +337,7 @@ def _almost_sure_reach_inside(n, succ, free, region, targets):
 def almost_sure_solve(g: GameGraph, obj: Objective, player: int) -> tuple[Region, Strategy]:
     """Almost-sure winning region and witness strategy for ``player``.
 
-    Rabin/Streett objectives go through the latest-appearance-record
+    Rabin/Streett objectives go through the index-appearance-record
     product first; the resulting stochastic parity game is reduced to a
     2-player parity game and solved.  Player 1 is solved on the dual game.
     """

@@ -266,6 +266,8 @@ def parse_structure(text: Union[str, bytes]) -> StructureDocument:
     except ET.ParseError as exc:
         line, column = exc.position
         raise StructureSyntaxError(str(exc.msg if hasattr(exc, "msg") else exc), line, column) from None
+    except UnicodeEncodeError as exc:  # a str holding a lone surrogate
+        raise StructureSyntaxError(f"not encodable as UTF-8: {exc.reason}") from None
     if root.tag != "structure":
         raise SchemaError(f"root element must be <structure>, got <{root.tag}>")
     kind = root.get("type")

@@ -8,7 +8,7 @@ import pytest
 
 from omegagames import _kernels
 from omegagames.cli import cli_main
-from omegagames.graph import PLAYER0, build_game
+from omegagames.graph import PLAYER0, PLAYER1, build_game
 from omegagames.objectives import Parity
 from omegagames.structio import game_to_document, write_structure
 
@@ -169,6 +169,20 @@ def test_convert_pgsolver_round_trip(workdir, capsys):
     assert cli_main(["solve", "back.xml", "--player", "0"]) == 1
     out = capsys.readouterr().out
     assert "{2, 3" in out
+
+
+def test_convert_rabin_streett_to_pgsolver_is_input_error(workdir, capsys):
+    from omegagames.objectives import Rabin, Streett
+
+    g = build_game([(PLAYER0, [1]), (PLAYER1, [0, 1])], initial=0)
+    for name, obj in (("streett", Streett([({0}, {1})])), ("rabin", Rabin([({0}, {1})]))):
+        (workdir / f"{name}.xml").write_text(
+            write_structure(game_to_document(g, obj)), encoding="utf-8"
+        )
+        assert cli_main(["convert", "--to", "pgsolver", f"{name}.xml"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "omegagames reduce" in captured.err
+        assert not captured.out
 
 
 def test_coop_on_streett_game_goes_through_the_product(workdir, capsys):

@@ -1,0 +1,121 @@
+"""Property-based tests of the file parsers: whatever the input, only an
+``OmegagamesError`` escapes, and PGSolver export/import round-trips.
+
+The runs are derandomized, so every run of the suite tries the same
+examples; raise ``max_examples`` locally for a longer search.
+"""
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from omegagames import structio
+from omegagames.errors import OmegagamesError
+from omegagames.graph import build_game
+from omegagames.objectives import Parity
+from omegagames.pgsolver import export_pgsolver, import_pgsolver
+from omegagames.solve import zielonka_solve
+
+from .conftest import DATA
+
+FUZZ = settings(
+    max_examples=300,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+SAMPLE_XML = (DATA / "sample_game.xml").read_text(encoding="utf-8")
+
+
+def _load_pgsolver(text):
+    """Import and solve; only typed errors may escape."""
+    try:
+        zielonka_solve(*import_pgsolver(text))
+    except OmegagamesError:
+        pass
+
+
+def _load_xml(text):
+    try:
+        structio.document_to_game(structio.parse_structure(text))
+    except OmegagamesError:
+        pass
+
+
+@FUZZ
+@given(st.text())
+def test_pgsolver_arbitrary_text_raises_only_typed_errors(text):
+    _load_pgsolver(text)
+
+
+_label = st.none() | st.text(alphabet=st.characters(blacklist_characters="\n\r"), max_size=6)
+_node = st.tuples(
+    st.integers(0, 8),
+    st.integers(0, 2**64) | st.integers(0, 6),
+    st.sampled_from(["0", "1", "2", "-1", "x"]),
+    st.lists(st.integers(0, 9), max_size=4),
+    _label,
+    st.sampled_from([";", "", " ;", ";;"]),
+)
+
+
+def _node_line(node):
+    ident, prio, owner, succ, label, end = node
+    line = f"{ident} {prio} {owner} {','.join(map(str, succ))}"
+    if label is not None:
+        line += f' "{label}"'
+    return line + end
+
+
+@FUZZ
+@given(
+    st.sampled_from(["", "parity 3;\n", "parity x;\n", "parity 99999999999999999999\n"]),
+    st.lists(_node, max_size=8),
+)
+def test_pgsolver_node_lines_raise_only_typed_errors(header, nodes):
+    _load_pgsolver(header + "\n".join(map(_node_line, nodes)) + "\n")
+
+
+@st.composite
+def _mutated_xml(draw):
+    text = SAMPLE_XML
+    for _ in range(draw(st.integers(1, 4))):
+        start = draw(st.integers(0, len(text)))
+        end = draw(st.integers(start, min(len(text), start + 40)))
+        kind = draw(st.sampled_from(["delete", "insert", "replace", "duplicate"]))
+        if kind == "delete":
+            text = text[:start] + text[end:]
+        elif kind == "duplicate":
+            text = text[:end] + text[start:end] + text[end:]
+        else:
+            junk = draw(st.text(alphabet=st.sampled_from('<>/="-0123456789 \nabsx&;') | st.characters(), max_size=12))
+            text = text[:start] + junk + (text[start:] if kind == "insert" else text[end:])
+    return text
+
+
+@FUZZ
+@given(_mutated_xml())
+@example("\ud800" + SAMPLE_XML)  # a lone surrogate cannot be encoded for the XML parser
+def test_mutated_structure_file_raises_only_typed_errors(text):
+    _load_xml(text)
+
+
+@st.composite
+def _parity_game(draw):
+    n = draw(st.integers(1, 8))
+    states = [
+        (draw(st.integers(0, 1)), draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True)))
+        for _ in range(n)
+    ]
+    priorities = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+    return build_game(states), Parity(tuple(priorities))
+
+
+@FUZZ
+@given(_parity_game())
+def test_pgsolver_round_trip_keeps_game_and_regions(game_and_parity):
+    g, par = game_and_parity
+    g2, par2 = import_pgsolver(export_pgsolver(g, par))
+    assert g2.owners == g.owners and g2.succ == g.succ
+    w0, w1, _, _ = zielonka_solve(g, par)
+    v0, v1, _, _ = zielonka_solve(g2, par2)
+    assert (w0.states, w1.states) == (v0.states, v1.states)
+

@@ -1,5 +1,6 @@
 """Reductions: the probabilistic-state gadget, the record product, pullbacks."""
 import itertools
+from math import factorial
 
 import pytest
 
@@ -8,7 +9,6 @@ from omegagames.errors import NoPairs, UndefinedOnRegion
 from omegagames.graph import PLAYER0, PLAYER1, PROBABILISTIC, build_game
 from omegagames.objectives import Lasso, Parity, Rabin, Streett, accepts_lasso
 from omegagames.reductions import (
-    _state_colors,
     dual_game,
     even_ceiling,
     lar_reduce,
@@ -76,7 +76,7 @@ def test_lar_single_state_request_response():
 def test_lar_single_color_memory_collapses():
     g = build_game([(PLAYER0, [1]), (PLAYER0, [0])])
     res = lar_reduce(g, Streett([({0, 1}, {0, 1})]))
-    assert res.game.n == g.n  # one color, one record
+    assert res.game.n == g.n  # one pair, one record
     strat = pullback_strategy(res, Strategy.memoryless(0, {0: 1, 1: 0}))
     assert strat.memory_size == 1
 
@@ -95,7 +95,7 @@ def test_lar_lasso_equivalence_random():
     for _ in range(150):
         g = sample_game(rng, max_states=5, owners=(PLAYER0, PLAYER1))
         pairs = sample_pairs(rng, g.n)
-        r_init = tuple(sorted(set(_state_colors(g, pairs))))
+        r_init = tuple(range(len(pairs)))
         for obj in (Streett(pairs), Rabin(pairs)):
             res = lar_reduce(g, obj)
             # originals keep their indices, paired with the initial record
@@ -106,6 +106,33 @@ def test_lar_lasso_equivalence_random():
                 assert accepts_lasso(obj, lasso) == accepts_lasso(
                     res.parity, lift_lasso(res, lasso)
                 )
+
+
+def test_lar_product_within_n_times_k_factorial():
+    rng = SplitMix64(0x1A5F)
+    for trial in range(40):
+        n = 20 + rng.below(21)
+        owners = (PLAYER0, PLAYER1, PROBABILISTIC)[: 2 + trial % 2]
+        g = build_game(
+            [(owners[rng.below(len(owners))], sorted({rng.below(n) for _ in range(3)}))
+             for _ in range(n)]
+        )
+        pairs = sample_pairs(rng, n, max_pairs=3)
+        for obj in (Streett(pairs), Rabin(pairs)):
+            assert lar_reduce(g, obj).game.n <= n * factorial(len(pairs))
+
+
+def test_lar_one_pair_is_memoryless():
+    rng = SplitMix64(0x1A60)
+    for trial in range(60):
+        g = sample_game(rng, max_states=8, owners=(PLAYER0, PLAYER1, PROBABILISTIC)[: 2 + trial % 2])
+        pairs = sample_pairs(rng, g.n, max_pairs=1)
+        for obj in (Streett(pairs), Rabin(pairs)):
+            res = lar_reduce(g, obj)
+            assert res.game.n == g.n
+            if g.is_two_player:
+                for strategy in zielonka_solve(res.game, res.parity)[2:]:
+                    assert pullback_strategy(res, strategy).memory_size == 1
 
 
 def test_lar_lasso_equivalence_exhaustive_two_states():

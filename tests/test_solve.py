@@ -188,6 +188,23 @@ def test_almost_sure_matches_oracle_rabin_streett():
                 assert strategy_wins_almost_surely(g, rel, player, fast, strategy)
 
 
+def test_almost_sure_matches_oracle_with_three_pairs():
+    rng = SplitMix64(0x1DA3)
+    for trial in range(100):
+        owners = (PLAYER0, PLAYER1) if trial % 2 else (PLAYER0, PLAYER1, PROBABILISTIC)
+        g = sample_game(rng, max_states=7, owners=owners)
+        pairs = [
+            ({s for s in range(g.n) if rng.below(3) == 0}, {s for s in range(g.n) if rng.below(3) == 0})
+            for _ in range(3)
+        ]
+        for obj in (Streett(pairs), Rabin(pairs)):
+            for player in (0, 1):
+                fast, strategy = almost_sure_solve(g, obj, player)
+                assert fast.states == oracle_solve(g, obj, player).states
+                rel = obj if player == 0 else complement(obj)
+                assert strategy_wins_almost_surely(g, rel, player, fast, strategy)
+
+
 def test_streett_opponent_memory_regression():
     """The Streett side of a Rabin game can need memory: with pairs
     ({1},{2}) and ({0,1},{1}) the opponent only wins by alternating, so a
