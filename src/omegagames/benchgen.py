@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 from . import _kernels
 from .errors import InvalidSpec
-from .graph import PROBABILISTIC, GameGraph, build_game
+from .graph import PROBABILISTIC, GameGraph, _assemble
 from .objectives import Parity
 from .solve import almost_sure_solve
 
@@ -112,7 +112,7 @@ def random_game(spec: BenchSpec) -> tuple[GameGraph, Parity]:
     for s in idx[:k]:
         owners[s] = PROBABILISTIC
     states = [(owners[s], succ[s]) for s in range(n)]
-    return build_game(states, initial=0), Parity(tuple(prios), count=d)
+    return _assemble(states, 0), Parity(tuple(prios), count=d)
 
 
 @dataclass(frozen=True)

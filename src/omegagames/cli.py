@@ -7,6 +7,7 @@ repair the specification (unsatisfiable, or fairness cannot help).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from fractions import Fraction
 
@@ -18,7 +19,6 @@ from .errors import (
     OmegagamesError,
     SpecUnsatisfiable,
 )
-from .graph import GameGraph
 from .pgsolver import export_pgsolver, import_pgsolver
 from .reductions import to_two_player_parity
 from .solve import almost_sure_solve, cooperative_region
@@ -164,7 +164,7 @@ def _cmd_convert(args) -> int:
     else:
         if game.initial is None:
             # PGSolver files carry no initial state; game documents need one
-            game = GameGraph(game.owners, game.succ, dict(game.dists), game.labels, 0)
+            game = dataclasses.replace(game, initial=0)
         doc = structio.game_to_document(game, obj)
         _emit(structio.write_structure(doc), args.output)
     return EXIT_OK

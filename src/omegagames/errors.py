@@ -15,14 +15,14 @@ class FileAccessError(OmegagamesError):
 
 
 class InvalidGame(OmegagamesError):
-    """A game graph violates a structural invariant.
+    """A game given to ``build_game`` violates a structural invariant.
 
-    Carries the full diagnostic list produced by ``validate_game``.
+    ``diagnostics`` holds the full list produced by ``validate_game``.
     """
 
-    def __init__(self, violations):
-        self.violations = list(violations)
-        lines = "; ".join(str(v) for v in self.violations)
+    def __init__(self, diagnostics):
+        self.diagnostics = list(diagnostics)
+        lines = "; ".join(str(v) for v in self.diagnostics)
         super().__init__(f"invalid game: {lines}")
 
 
@@ -90,7 +90,8 @@ class StructureSyntaxError(OmegagamesError):
 
 
 class SchemaError(OmegagamesError):
-    """A structure file is well-formed XML but breaks a grammar rule."""
+    """A file breaks a rule of its format: a well-formed structure file
+    against the grammar, or a game the format cannot hold on export."""
 
 
 class UnknownProp(OmegagamesError):

@@ -1,10 +1,15 @@
 """Turn-based probabilistic game graphs and the basic graph fixpoints.
 
 A game graph partitions its states between player 0, player 1 and
-probabilistic states.  Probabilistic states carry a distribution whose
-support must coincide with their outgoing edges; every solver in this
-package reads only the support, never the weights, so qualitative results
-are independent of the exact probabilities.
+probabilistic states.  A probabilistic state's distribution is supported
+on exactly its outgoing edges, uniform unless the caller gave weights;
+every solver in this package reads only the support, never the weights, so
+qualitative results are independent of the exact probabilities.
+
+``build_game`` is the one constructor that validates, and every game from
+outside the package enters through it.  Games derived from a valid game
+(reductions, subgames, fairness wrappers) are valid by construction, so
+they are built without a second check.
 """
 from __future__ import annotations
 
@@ -43,13 +48,15 @@ class GameGraph:
     """Immutable turn-based probabilistic game graph.
 
     States are dense indices 0..n-1.  ``succ`` holds the ordered adjacency
-    list of each state; ``dists`` maps each probabilistic state to its
-    ``(target, weight)`` list, whose targets must equal the state's edges.
+    list of each state.  ``given_weights`` maps a probabilistic state to
+    the weights a caller gave for it, parallel to its edges; every other
+    probabilistic state is uniform over its edges.  The constructor trusts
+    its arguments: ``build_game`` is the validating one.
     """
 
     owners: tuple[int, ...]
     succ: tuple[tuple[int, ...], ...]
-    dists: Mapping[int, tuple[tuple[int, Fraction], ...]] = field(default_factory=dict)
+    given_weights: Mapping[int, tuple[Fraction, ...]] = field(default_factory=dict)
     labels: tuple[Optional[str], ...] = ()
     initial: Optional[int] = None
 
@@ -66,10 +73,16 @@ class GameGraph:
 
     def support(self, s: int) -> tuple[int, ...]:
         """Targets of the distribution of a probabilistic state."""
-        return tuple(t for t, _ in self.dists[s])
+        return self.succ[s]
 
     def weights(self, s: int) -> tuple[Fraction, ...]:
-        return tuple(w for _, w in self.dists[s])
+        """Weights of the distribution of a probabilistic state, parallel
+        to its edges."""
+        given = self.given_weights.get(s)
+        if given is not None:
+            return given
+        k = len(self.succ[s])
+        return (Fraction(1, k),) * k
 
     @property
     def probabilistic_states(self) -> tuple[int, ...]:
@@ -80,27 +93,8 @@ class GameGraph:
         return PROBABILISTIC not in self.owners
 
     @cached_property
-    def violations(self) -> tuple[Violation, ...]:
-        return tuple(validate_game(self))
-
-    def require_valid(self):
-        if self.violations:
-            raise InvalidGame(self.violations)
-        return self
-
-    @cached_property
     def flat(self) -> "_Flat":
         return _flatten(self)
-
-    def with_successors(self, succ: Sequence[Sequence[int]]) -> "GameGraph":
-        """Copy of this game with a replaced adjacency structure."""
-        return GameGraph(
-            owners=self.owners,
-            succ=tuple(tuple(ss) for ss in succ),
-            dists=dict(self.dists),
-            labels=self.labels,
-            initial=self.initial,
-        )
 
     def __str__(self):
         kind = "2-player" if self.is_two_player else "2.5-player"
@@ -150,11 +144,22 @@ def build_game(
     initial: Optional[int] = None,
     weights: Optional[Mapping[int, Sequence]] = None,
 ) -> GameGraph:
-    """Construct a game from ``(owner, successors[, label])`` tuples.
+    """The game of ``(owner, successors[, label])`` tuples, validated.
 
-    Probabilistic states get a uniform distribution over their successors
-    unless explicit ``weights`` (parallel to the successor list) are given.
+    Probabilistic states are uniform over their successors unless
+    ``weights`` maps them to weights parallel to the successor list.
+    Raises ``InvalidGame`` listing every broken invariant.
     """
+    g = _assemble(states, initial, weights)
+    violations = validate_game(g)
+    if violations:
+        raise InvalidGame(violations)
+    return g
+
+
+def _assemble(states, initial, weights=None) -> GameGraph:
+    """``build_game`` without the validation, for games derived from a
+    valid one."""
     owners = []
     succ = []
     labels = []
@@ -167,23 +172,8 @@ def build_game(
         owners.append(owner)
         succ.append(tuple(targets))
         labels.append(label)
-    dists = {}
-    for s, owner in enumerate(owners):
-        if owner != PROBABILISTIC:
-            continue
-        targets = succ[s]
-        if weights and s in weights:
-            ws = [Fraction(w) for w in weights[s]]
-        else:
-            ws = [Fraction(1, len(targets))] * len(targets) if targets else []
-        dists[s] = tuple(zip(targets, ws))
-    return GameGraph(
-        owners=tuple(owners),
-        succ=tuple(succ),
-        dists=dists,
-        labels=tuple(labels),
-        initial=initial,
-    )
+    given = {s: tuple(Fraction(w) for w in ws) for s, ws in (weights or {}).items()}
+    return GameGraph(tuple(owners), tuple(succ), given, tuple(labels), initial)
 
 
 def validate_game(g: GameGraph) -> list[Violation]:
@@ -201,35 +191,18 @@ def validate_game(g: GameGraph) -> list[Violation]:
             elif t in seen:
                 out.append(Violation("duplicate-edge", s, f"duplicate edge target {t}"))
             seen.add(t)
-    for s in range(n):
-        owner = g.owners[s]
-        if owner == PROBABILISTIC:
-            if s not in g.dists:
-                out.append(Violation("distribution-missing", s, "probabilistic state has no distribution"))
-                continue
-            dist = g.dists[s]
-            for t, w in dist:
+    for s, owner in enumerate(g.owners):
+        if owner not in (PLAYER0, PLAYER1, PROBABILISTIC):
+            out.append(Violation("bad-owner", s, f"unknown owner {owner}"))
+    for s, ws in g.given_weights.items():
+        if s not in range(n) or g.owners[s] != PROBABILISTIC:
+            out.append(Violation("unexpected-distribution", s, "weights given for a non-probabilistic state"))
+        elif len(ws) != len(g.succ[s]):
+            out.append(Violation("support-mismatch", s, f"{len(ws)} weights given for {len(g.succ[s])} edges"))
+        else:
+            for t, w in zip(g.succ[s], ws):
                 if w <= 0:
                     out.append(Violation("weight-not-positive", s, f"weight {w} on target {t}"))
-            support = [t for t, _ in dist]
-            if sorted(support) != sorted(set(support)):
-                out.append(Violation("support-duplicate", s, "distribution lists a target twice"))
-            if set(support) != set(g.succ[s]):
-                extra = set(support) - set(g.succ[s])
-                missing = set(g.succ[s]) - set(support)
-                out.append(
-                    Violation(
-                        "support-mismatch",
-                        s,
-                        "distribution support must equal the edge set "
-                        f"(weight on non-edges: {sorted(extra)}, edges without weight: {sorted(missing)})",
-                    )
-                )
-        elif owner in (PLAYER0, PLAYER1):
-            if s in g.dists:
-                out.append(Violation("unexpected-distribution", s, "non-probabilistic state carries a distribution"))
-        else:
-            out.append(Violation("bad-owner", s, f"unknown owner {owner}"))
     if g.initial is not None and not (0 <= g.initial < n):
         out.append(Violation("bad-initial", None, f"initial state {g.initial} out of range"))
     return out
@@ -246,7 +219,6 @@ def subgame(g: GameGraph, keep: Iterable[int]) -> tuple[GameGraph, dict[int, int
     index = {s: i for i, s in enumerate(kept)}
     kept_set = set(kept)
     states = []
-    weights = {}
     for s in kept:
         if g.owners[s] == PROBABILISTIC:
             lost = [t for t in g.succ[s] if t not in kept_set]
@@ -258,10 +230,9 @@ def subgame(g: GameGraph, keep: Iterable[int]) -> tuple[GameGraph, dict[int, int
         if not targets:
             raise DeadEndCreated(f"state {s} has no successor inside the kept set")
         states.append((g.owners[s], targets, g.label(s)))
-        if g.owners[s] == PROBABILISTIC:
-            weights[index[s]] = [w for t, w in g.dists[s]]
+    weights = {index[s]: ws for s, ws in g.given_weights.items() if s in kept_set}
     new_initial = index.get(g.initial) if g.initial is not None else None
-    return build_game(states, initial=new_initial, weights=weights), index
+    return _assemble(states, new_initial, weights), index
 
 
 def attractor(

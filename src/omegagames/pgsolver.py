@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import NotDeterministicGame, StructureSyntaxError, TypeMismatch
+from .errors import NotDeterministicGame, SchemaError, StructureSyntaxError, TypeMismatch
 from .graph import GameGraph, build_game
 from .objectives import Parity
 
@@ -26,7 +26,11 @@ def flip_priorities(priorities) -> tuple[list[int], int]:
 
 
 def export_pgsolver(g: GameGraph, obj: Parity) -> str:
-    """Serialize a 2-player parity game for max-parity solvers."""
+    """Serialize a 2-player parity game for max-parity solvers.
+
+    Raises ``SchemaError`` for a label the format cannot hold: one with a
+    double quote or a line break.
+    """
     if not g.is_two_player:
         raise NotDeterministicGame("PGSolver export needs a game without probabilistic states")
     if not isinstance(obj, Parity):
@@ -34,7 +38,6 @@ def export_pgsolver(g: GameGraph, obj: Parity) -> str:
             f"PGSolver export needs a parity objective, got a {obj}; "
             "turn the game into a parity game with `omegagames reduce` first"
         )
-    g.require_valid()
     if len(obj.priorities) != g.n:
         raise ValueError("objective does not match the game")
     flipped, _ = flip_priorities(obj.priorities)
@@ -44,6 +47,9 @@ def export_pgsolver(g: GameGraph, obj: Parity) -> str:
         line = f"{s} {flipped[s]} {g.owners[s]} {succ}"
         label = g.label(s)
         if label is not None:
+            # the label sits between quotes on one line of the file
+            if '"' in label or len(f"{label}.".splitlines()) > 1:
+                raise SchemaError(f"label of state {s} holds a quote or a line break: {label!r}")
             line += f' "{label}"'
         lines.append(line + ";")
     return "\n".join(lines) + "\n"

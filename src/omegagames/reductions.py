@@ -10,11 +10,11 @@
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
 from .errors import NoPairs, UndefinedOnRegion
-from .graph import PLAYER0, PLAYER1, PROBABILISTIC, GameGraph, build_game
+from .graph import PLAYER0, PLAYER1, PROBABILISTIC, GameGraph, _assemble
 from .objectives import Objective, Parity, Rabin, Streett, complement
 from .strategies import Strategy
 
@@ -62,7 +62,6 @@ def reduce_stochastic_parity(g: GameGraph, obj: Parity) -> ReductionResult:
     states reuse the index of the state they replace, so copies of original
     states are exactly the indices below ``g.n``.
     """
-    g.require_valid()
     if len(obj.priorities) != g.n:
         raise ValueError("objective does not match the game")
     if g.is_two_player:
@@ -89,20 +88,14 @@ def reduce_stochastic_parity(g: GameGraph, obj: Parity) -> ReductionResult:
             states.append([PLAYER0, support, None])  # challenge: announcer moves
             prios.append(e + 1)
             states[s][1].append(decide)
-    reduced = build_game([tuple(st) for st in states], initial=g.initial)
+    reduced = _assemble(states, g.initial)
     return ReductionResult(g, reduced, Parity(tuple(prios)), kind="gadget")
 
 
 def dual_game(g: GameGraph, obj: Parity) -> tuple[GameGraph, Parity]:
     """Owners swapped and the objective complemented."""
     swap = {PLAYER0: PLAYER1, PLAYER1: PLAYER0, PROBABILISTIC: PROBABILISTIC}
-    dual = GameGraph(
-        owners=tuple(swap[o] for o in g.owners),
-        succ=g.succ,
-        dists=dict(g.dists),
-        labels=g.labels,
-        initial=g.initial,
-    )
+    dual = replace(g, owners=tuple(swap[o] for o in g.owners))
     return dual, complement(obj)
 
 
@@ -125,7 +118,6 @@ def lar_reduce(g: GameGraph, obj: Streett | Rabin) -> ReductionResult:
         raise TypeError(f"Rabin or Streett objective required, got {obj!r}")
     if not obj.pairs:
         raise NoPairs("objective has no request/response pairs")
-    g.require_valid()
     npairs = len(obj.pairs)
     in_q: list[list[int]] = [[] for _ in range(g.n)]
     in_r: list[list[int]] = [[] for _ in range(g.n)]
@@ -170,9 +162,9 @@ def lar_reduce(g: GameGraph, obj: Streett | Rabin) -> ReductionResult:
     weights = {}
     for idx, (s, _rec) in enumerate(order):
         states.append((g.owners[s], succ_out[idx], g.label(s)))
-        if g.owners[s] == PROBABILISTIC:
-            weights[idx] = [w for _t, w in g.dists[s]]
-    product = build_game(states, initial=g.initial, weights=weights)
+        if s in g.given_weights:
+            weights[idx] = g.given_weights[s]
+    product = _assemble(states, g.initial, weights)
     origin = tuple(s for s, _rec in order)
     memory = tuple(rec for _s, rec in order)
     return ReductionResult(g, product, Parity(tuple(prios)), origin, memory, kind="lar")

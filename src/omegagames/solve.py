@@ -37,7 +37,6 @@ def zielonka_solve(g: GameGraph, obj: Parity) -> tuple[Region, Region, Strategy,
     """
     if not g.is_two_player:
         raise NotDeterministicGame("zielonka_solve requires a game without probabilistic states")
-    g.require_valid()
     _check_parity(g, obj)
     if obj.max_priority > KERNEL_PRIORITY_BOUND:
         raise TooLarge(
@@ -75,7 +74,6 @@ def cooperative_region(g: GameGraph, obj: Objective) -> Region:
     """
     if not g.is_two_player:
         raise NotDeterministicGame("cooperative_region requires a game without probabilistic states")
-    g.require_valid()
     if isinstance(obj, (Streett, Rabin)):
         lar = lar_reduce(g, obj)
         inner = cooperative_region(lar.game, lar.parity).states
@@ -140,7 +138,6 @@ def markov_chain_almost_sure(mc: GameGraph, obj: Objective, start: int) -> bool:
     """
     if any(o != PROBABILISTIC for o in mc.owners):
         raise ValueError("markov_chain_almost_sure requires all states probabilistic")
-    mc.require_valid()
     return _chain_verdicts(mc.n, mc.succ, obj)[start]
 
 
@@ -166,7 +163,6 @@ def oracle_solve(
     (positional) opponent can force the dual Rabin objective with positive
     probability.
     """
-    g.require_valid()
     if g.n > bound:
         raise TooLarge(f"oracle limited to {bound} states, game has {g.n}")
     rel_obj = obj if player == PLAYER0 else complement(obj)
@@ -341,7 +337,6 @@ def almost_sure_solve(g: GameGraph, obj: Objective, player: int) -> tuple[Region
     product first; the resulting stochastic parity game is reduced to a
     2-player parity game and solved.  Player 1 is solved on the dual game.
     """
-    g.require_valid()
     if isinstance(obj, (Streett, Rabin)):
         lar = lar_reduce(g, obj)
         inner_region, inner_strategy = almost_sure_solve(lar.game, lar.parity, player)

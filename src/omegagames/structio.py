@@ -7,7 +7,8 @@ exactly.  Parity acceptance sets are ordered by priority value; Rabin and
 Streett sets pair an E (request / infinitely-often) block with an F block.
 Probabilistic game states carry player tag -1 and, since the format has no
 weights, get uniform distributions on parse; qualitative answers do not
-depend on the weights.
+depend on the weights.  A game document is validated once, by
+``build_game``, when ``document_to_game`` reads it.
 """
 from __future__ import annotations
 
@@ -453,7 +454,8 @@ def document_to_game(doc: StructureDocument) -> tuple[GameGraph, Objective]:
     """Game plus objective from a game document.
 
     State indices are the rank of the sid; Buchi acceptance is converted
-    into the two-priority parity encoding.
+    into the two-priority parity encoding.  Raises ``InvalidGame`` when
+    the game breaks a rule of ``validate_game``.
     """
     if doc.kind != "game":
         raise SchemaError(f"expected a game document, got type {doc.kind!r}")
@@ -464,7 +466,7 @@ def document_to_game(doc: StructureDocument) -> tuple[GameGraph, Objective]:
     states = [
         (s.player, succ[k], s.label) for k, s in enumerate(doc.states)
     ]
-    game = build_game(states, initial=rank[doc.initial[0]]).require_valid()
+    game = build_game(states, initial=rank[doc.initial[0]])
     n = game.n
     if doc.acc_type == "parity":
         prio = [0] * n

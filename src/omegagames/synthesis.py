@@ -12,7 +12,7 @@ stage once, on first use.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Optional, Union
 
@@ -24,7 +24,7 @@ from .errors import (
     SpecUnsatisfiable,
     StrategyIncomplete,
 )
-from .graph import PLAYER0, PLAYER1, PROBABILISTIC, GameGraph, build_game
+from .graph import PLAYER0, PLAYER1, PROBABILISTIC, GameGraph, _assemble, build_game
 from .objectives import Parity
 from .solve import almost_sure_solve, cooperative_region, zielonka_solve
 from .strategies import Strategy
@@ -105,7 +105,7 @@ class SynthesisGame:
                 succ[q] = kept
             else:
                 emptied.append(q)
-        new_graph = g.with_successors(succ)
+        new_graph = replace(g, succ=tuple(map(tuple, succ)))
         if emptied:
             reachable = _reachable(new_graph)
             hit = [q for q in emptied if q in reachable]
@@ -271,7 +271,7 @@ def apply_fairness(sg: SynthesisGame, fair: Iterable[EnvEdge]) -> FairGame:
         states.append((PROBABILISTIC, targets, f"fair({g.label(q) or q})"))
         prios.append(sg.parity.priorities[q])
     initial = wrapped.get(g.initial, g.initial)
-    graph = build_game(states, initial=initial)
+    graph = _assemble(states, initial)
     return FairGame(graph, Parity(tuple(prios)), sg, wrapper_of)
 
 

@@ -1,5 +1,8 @@
 """Benchmark generator determinism and runner output shape."""
+import importlib
+import importlib.util
 import io
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +16,7 @@ from omegagames.benchgen import (
     run_benchmark,
 )
 from omegagames.errors import InvalidSpec
-from omegagames.graph import PROBABILISTIC
+from omegagames.graph import PROBABILISTIC, validate_game
 from omegagames.structio import game_to_document, write_structure
 
 
@@ -54,7 +57,7 @@ def test_thousand_state_row_shape():
     assert g.edge_count == 5000
     assert sum(1 for o in g.owners if o == PROBABILISTIC) == 100
     assert par.count == 3
-    assert g.violations == ()
+    assert validate_game(g) == []
 
 
 def test_same_seed_same_bytes():
@@ -119,28 +122,31 @@ def test_prob_free_solving_overhead_within_ten_percent():
     """Without probabilistic states the almost-sure pipeline must cost about
     the same as plain 2-player solving (the reduction adds no gadgets).
     Measured on the pure kernel where both paths are Python end to end.
-    The two solves alternate, so drift in host speed hits both sides."""
+    The two solves alternate in pairs, each timed in process CPU time, and
+    the median per-pair ratio is compared, so neither drift in host speed
+    nor a stall in one pair decides the outcome."""
+    import statistics
     import time
 
     from omegagames import _kernels
     from omegagames.solve import almost_sure_solve, zielonka_solve
 
     g, par = random_game(BenchSpec(5000, 20000, 3, 0, seed=11))
-    g.require_valid()
+    assert validate_game(g) == []
 
     def timed(fn):
-        start = time.perf_counter()
+        start = time.process_time()
         fn()
-        return time.perf_counter() - start
+        return time.process_time() - start
 
-    plain, piped = [], []
+    ratios = []
     with _kernels.using("python"):
-        for _ in range(7):
-            plain.append(timed(lambda: zielonka_solve(g, par)))
-            piped.append(timed(lambda: almost_sure_solve(g, par, 0)))
-    assert min(piped) <= min(plain) * 1.10, (
-        f"pipeline {min(piped):.4f}s vs plain {min(plain):.4f}s"
-    )
+        for _ in range(31):
+            plain = timed(lambda: zielonka_solve(g, par))
+            piped = timed(lambda: almost_sure_solve(g, par, 0))
+            ratios.append(piped / plain)
+    ratio = statistics.median(ratios)
+    assert ratio <= 1.10, f"median pipeline/plain ratio {ratio:.3f} over {len(ratios)} pairs"
 
 
 def test_reduction_region_identity_on_benchmark_games():
@@ -158,3 +164,14 @@ def test_reduction_region_identity_on_benchmark_games():
         red = reduce_stochastic_parity(g, par)
         w0, _, _, _ = zielonka_solve(red.game, red.parity)
         assert red.lift(w0.states) == {s for s in w0.states if s < g.n} == direct.states
+
+
+def test_perfbench_span_targets_resolve():
+    """The traced benchmark run wraps these functions by name, so renaming
+    one must fail here instead of silently dropping its span."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for module_name, attr, _name in spans.TARGETS:
+        assert hasattr(importlib.import_module(module_name), attr), f"{module_name}.{attr}"

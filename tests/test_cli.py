@@ -8,7 +8,8 @@ import pytest
 
 from omegagames import _kernels
 from omegagames.cli import cli_main
-from omegagames.graph import PLAYER0, PLAYER1, build_game
+from omegagames.errors import InvalidGame
+from omegagames.graph import PLAYER0, PLAYER1, PROBABILISTIC, build_game
 from omegagames.objectives import Parity
 from omegagames.structio import game_to_document, write_structure
 
@@ -169,6 +170,31 @@ def test_convert_pgsolver_round_trip(workdir, capsys):
     assert cli_main(["solve", "back.xml", "--player", "0"]) == 1
     out = capsys.readouterr().out
     assert "{2, 3" in out
+
+
+def test_convert_of_invalid_pgsolver_game_is_input_error(workdir, capsys):
+    """An invalid game is refused where it is read: convert does not write
+    a file that solve would then refuse."""
+    (workdir / "dup.gm").write_text("parity 1;\n0 1 0 1,1;\n1 2 1 0;\n", encoding="utf-8")
+    assert cli_main(["convert", "--to", "goal", "dup.gm", "-o", "dup.xml"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: invalid game: duplicate-edge at state 0")
+    assert not (workdir / "dup.xml").exists()
+
+
+def test_weight_count_must_match_edge_count():
+    for weights in ([1], [1, 2, 3]):
+        with pytest.raises(InvalidGame) as err:
+            build_game([(PROBABILISTIC, [0, 1]), (PLAYER0, [0])], weights={0: weights})
+        assert [(v.rule, v.state) for v in err.value.diagnostics] == [("support-mismatch", 0)]
+
+
+def test_synth_assumption_matches_stored_automaton(workdir, capsys):
+    """The Streett automaton that the parser fuzz tests mutate is this
+    command's output."""
+    assert cli_main(["synth", "assumption", "repeated_grant.xml"]) == 0
+    stored = (DATA / "repeated_grant_assumption.xml").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == stored
 
 
 def test_convert_rabin_streett_to_pgsolver_is_input_error(workdir, capsys):

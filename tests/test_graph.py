@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omegagames.benchgen import SplitMix64
-from omegagames.errors import DeadEndCreated, RandomSupportBroken
+from omegagames.errors import DeadEndCreated, EnvDeadlocked, RandomSupportBroken
 from omegagames.graph import (
     EXISTENTIAL,
     PLAYER0,
@@ -33,7 +33,7 @@ def test_support_rule_violation():
     g = GameGraph(
         owners=(PROBABILISTIC, PLAYER0),
         succ=((1,), (1,)),
-        dists={0: ((0, Fraction(1, 2)), (1, Fraction(1, 2)))},  # weight on non-edge 0
+        given_weights={0: (Fraction(1, 2), Fraction(1, 2))},  # two weights, one edge
         labels=(None, None),
         initial=None,
     )
@@ -44,14 +44,14 @@ def test_support_rule_violation():
 
 
 def test_dead_end_violation():
-    g = GameGraph(owners=(PLAYER0,), succ=((),), dists={}, labels=(None,), initial=None)
+    g = GameGraph(owners=(PLAYER0,), succ=((),), labels=(None,), initial=None)
     violations = validate_game(g)
     assert [v.rule for v in violations] == ["dead-end"]
     assert violations[0].state == 0
 
 
 def test_duplicate_edge_and_bad_owner():
-    g = GameGraph(owners=(7,), succ=((0, 0),), dists={}, labels=(None,), initial=None)
+    g = GameGraph(owners=(7,), succ=((0, 0),), labels=(None,), initial=None)
     rules = {v.rule for v in validate_game(g)}
     assert rules == {"duplicate-edge", "bad-owner"}
 
@@ -91,6 +91,65 @@ def test_subgame_keeps_weights():
     )
     sub, index = subgame(g, {1, 2})
     assert sub.weights(index[1]) == (Fraction(1, 3), Fraction(2, 3))
+
+
+def test_derived_games_are_valid_by_construction():
+    """Every game derived from a valid one passes validation, which is why
+    only ``build_game`` validates; and probabilistic states keep their
+    support and weights: the edges, and the given weights or uniform ones."""
+    from fractions import Fraction
+
+    from omegagames.benchgen import BenchSpec, random_game
+    from omegagames.objectives import Rabin, Streett
+    from omegagames.reductions import dual_game, lar_reduce, reduce_stochastic_parity
+    from omegagames.solve import almost_sure_solve
+    from omegagames.synthesis import apply_fairness, dpa_to_synthesis_game
+
+    from .conftest import sample_pairs, sample_parity
+    from .test_pipeline_random import random_dpa
+
+    rng = SplitMix64(0xDE41)
+    for case in range(240):
+        two_player = case % 2 == 0
+        g = sample_game(rng, owners=(PLAYER0, PLAYER1) if two_player else (PLAYER0, PLAYER1, PROBABILISTIC))
+        given = {}
+        if case % 4 == 3:
+            given = {s: [Fraction(1 + rng.below(4), 5) for _ in g.succ[s]] for s in g.probabilistic_states}
+            g = build_game([(g.owners[s], g.succ[s]) for s in range(g.n)], initial=0, weights=given)
+        for s in g.probabilistic_states:
+            assert g.support(s) == g.succ[s]
+            k = len(g.succ[s])
+            assert g.weights(s) == tuple(given.get(s, [Fraction(1, k)] * k))
+        par = sample_parity(rng, g.n)
+        pairs = sample_pairs(rng, g.n)
+        products = [lar_reduce(g, Streett(pairs)), lar_reduce(g, Rabin(pairs))]
+        for res in products:
+            for idx in res.game.probabilistic_states:
+                assert res.game.weights(idx) == g.weights(res.origin_map[idx])
+        derived = [
+            reduce_stochastic_parity(g, par).game,
+            dual_game(g, par)[0],
+            *(res.game for res in products),
+            random_game(BenchSpec(g.n, g.n + rng.below(g.n), 3, "0.3", seed=case))[0],
+        ]
+        region, _ = almost_sure_solve(g, par, case % 4 // 2)
+        if region.states:
+            sub, index = subgame(g, region.states)
+            for s in region.states & set(g.probabilistic_states):
+                assert sub.weights(index[s]) == g.weights(s)
+            derived.append(sub)
+        sg = dpa_to_synthesis_game(random_dpa(rng, wide=True))
+        edges = sg.env_edges()
+        derived.append(apply_fairness(sg, [e for e in edges if rng.below(2)]).graph)
+        # sometimes every edge of a state, which is kept when unreachable
+        emptied = {q for q in range(sg.n_env) if rng.below(4) == 0}
+        drop = [(q, i) for q, i in edges if q in emptied or rng.below(3) == 0]
+        try:
+            derived.append(sg.remove_env_edges(drop).graph)
+        except EnvDeadlocked:
+            pass
+        for d in derived:
+            assert validate_game(d) == [], case
 
 
 def test_attractor_whole_state_space():

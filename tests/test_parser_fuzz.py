@@ -1,18 +1,25 @@
-"""Property-based tests of the file parsers: whatever the input, only an
-``OmegagamesError`` escapes, and PGSolver export/import round-trips.
+"""Property-based tests of the file parsers and the console: whatever the
+input, only an ``OmegagamesError`` escapes, and PGSolver export/import
+round-trips.
 
 The runs are derandomized, so every run of the suite tries the same
 examples; raise ``max_examples`` locally for a longer search.
 """
+import shlex
+import shutil
+
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from omegagames import structio
+from omegagames.console import ConsoleState, eval_statement
 from omegagames.errors import OmegagamesError
 from omegagames.graph import build_game
 from omegagames.objectives import Parity
 from omegagames.pgsolver import export_pgsolver, import_pgsolver
 from omegagames.solve import zielonka_solve
+from omegagames.synthesis import dpa_to_synthesis_game
 
 from .conftest import DATA
 
@@ -23,6 +30,11 @@ FUZZ = settings(
     suppress_health_check=[HealthCheck.too_slow],
 )
 SAMPLE_XML = (DATA / "sample_game.xml").read_text(encoding="utf-8")
+# two parity specifications and a Streett assumption automaton
+FA_FILES = ("repeated_grant.xml", "request_grant.xml", "repeated_grant_assumption.xml")
+FA_XML = [(DATA / name).read_text(encoding="utf-8") for name in FA_FILES]
+# characters the PGSolver format cannot hold inside a quoted label
+LABEL_BREAKERS = '"\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029'
 
 
 def _load_pgsolver(text):
@@ -75,8 +87,7 @@ def test_pgsolver_node_lines_raise_only_typed_errors(header, nodes):
 
 
 @st.composite
-def _mutated_xml(draw):
-    text = SAMPLE_XML
+def _mutated_xml(draw, text=SAMPLE_XML):
     for _ in range(draw(st.integers(1, 4))):
         start = draw(st.integers(0, len(text)))
         end = draw(st.integers(start, min(len(text), start + 40)))
@@ -98,11 +109,36 @@ def test_mutated_structure_file_raises_only_typed_errors(text):
     _load_xml(text)
 
 
+def _load_fa(text, complete):
+    """Read both automaton kinds, then split the parity one; only typed
+    errors may escape."""
+    loaders = (
+        lambda doc: dpa_to_synthesis_game(structio.dpa_from_document(doc, complete=complete)),
+        structio.streett_automaton_from_document,
+    )
+    for load in loaders:
+        try:
+            load(structio.parse_structure(text))
+        except OmegagamesError:
+            pass
+
+
+@FUZZ
+@given(st.sampled_from(FA_XML).flatmap(_mutated_xml), st.booleans())
+def test_mutated_automaton_file_raises_only_typed_errors(text, complete):
+    _load_fa(text, complete)
+
+
 @st.composite
 def _parity_game(draw):
     n = draw(st.integers(1, 8))
+    label = st.none() | st.text(alphabet=st.characters(blacklist_characters=LABEL_BREAKERS), max_size=6)
     states = [
-        (draw(st.integers(0, 1)), draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True)))
+        (
+            draw(st.integers(0, 1)),
+            draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True)),
+            draw(label),
+        )
         for _ in range(n)
     ]
     priorities = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
@@ -114,8 +150,69 @@ def _parity_game(draw):
 def test_pgsolver_round_trip_keeps_game_and_regions(game_and_parity):
     g, par = game_and_parity
     g2, par2 = import_pgsolver(export_pgsolver(g, par))
-    assert g2.owners == g.owners and g2.succ == g.succ
+    assert g2.owners == g.owners and g2.succ == g.succ and g2.labels == g.labels
     w0, w1, _, _ = zielonka_solve(g, par)
     v0, v1, _, _ = zielonka_solve(g2, par2)
     assert (w0.states, w1.states) == (v0.states, v1.states)
 
+
+
+# Console statements run against one state with a game, a parity
+# automaton, its synthesis game and an assumption bound; statements that
+# write files write into a temporary directory.
+CONSOLE_LINES = (DATA / "console_session.txt").read_text(encoding="utf-8").splitlines() + [
+    "$a = ParityAutomaton readFile repeated_grant.xml",
+    "$sg = $a toSynthesisGame",
+    "$sg realizable",
+    "$f = $sg fairnessAssumption",
+    "$sg sufficient $f",
+    "$sg safetyAssumption",
+    "$sg assumptionAutomaton",
+    "$t = $sg transducer",
+    "$s = StreettAutomaton readFile repeated_grant_assumption.xml",
+    "$s writeFile s.xml",
+    "$l = LTL toBuchiAutomaton",
+    "$sg winningRegion 1",
+]
+CONSOLE_FUZZ = settings(
+    FUZZ, suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture]
+)
+
+
+@pytest.fixture
+def console(tmp_path, monkeypatch):
+    for name in ("sample_game.xml",) + FA_FILES:
+        shutil.copy(DATA / name, tmp_path / name)
+    monkeypatch.chdir(tmp_path)
+    state = ConsoleState()
+    for line in (
+        "$g = ParityGame readFile sample_game.xml",
+        "$a = ParityAutomaton readFile repeated_grant.xml",
+        "$sg = $a toSynthesisGame",
+        "$f = $sg fairnessAssumption",
+    ):
+        state, _ = eval_statement(state, line)
+    return state
+
+
+def _eval(state, line):
+    try:
+        eval_statement(state, line)
+    except OmegagamesError:
+        pass
+
+
+@CONSOLE_FUZZ
+@given(st.text())
+def test_console_arbitrary_statement_raises_only_typed_errors(console, line):
+    _eval(console, line)
+
+
+_shuffled_line = st.sampled_from(CONSOLE_LINES).flatmap(lambda line: st.permutations(shlex.split(line)))
+_vocabulary = sorted({token for line in CONSOLE_LINES for token in shlex.split(line)})
+
+
+@CONSOLE_FUZZ
+@given(_shuffled_line | st.lists(st.sampled_from(_vocabulary), max_size=6))
+def test_console_shuffled_statement_raises_only_typed_errors(console, tokens):
+    _eval(console, " ".join(tokens))

@@ -2,7 +2,7 @@
 import pytest
 
 from omegagames.benchgen import SplitMix64
-from omegagames.errors import NotDeterministicGame, StructureSyntaxError
+from omegagames.errors import NotDeterministicGame, SchemaError, StructureSyntaxError
 from omegagames.graph import PLAYER0, PLAYER1, PROBABILISTIC, build_game
 from omegagames.objectives import Parity
 from omegagames.pgsolver import export_pgsolver, flip_priorities, import_pgsolver
@@ -48,6 +48,13 @@ def test_labels_round_trip():
     g = build_game([(PLAYER0, [1], "start"), (PLAYER1, [0], None)], initial=0)
     g2, _ = import_pgsolver(export_pgsolver(g, Parity((0, 1))))
     assert g2.label(0) == "start" and g2.label(1) is None
+
+
+def test_export_rejects_labels_the_format_cannot_hold():
+    for label in ('say "hi"', "two\nlines", "feed\x0c", "sep\u2028", "\r"):
+        g = build_game([(PLAYER0, [1]), (PLAYER1, [0], label)], initial=0)
+        with pytest.raises(SchemaError, match="state 1"):
+            export_pgsolver(g, Parity((0, 1)))
 
 
 def test_unrealizable_split_game_export_keeps_player1_winning_the_initial():

@@ -6,7 +6,7 @@ import pytest
 
 from omegagames.benchgen import SplitMix64
 from omegagames.errors import NoPairs, UndefinedOnRegion
-from omegagames.graph import PLAYER0, PLAYER1, PROBABILISTIC, build_game
+from omegagames.graph import PLAYER0, PLAYER1, PROBABILISTIC, build_game, validate_game
 from omegagames.objectives import Lasso, Parity, Rabin, Streett, accepts_lasso
 from omegagames.reductions import (
     dual_game,
@@ -36,7 +36,7 @@ def test_gadget_shape_and_size_bound():
         g = sample_game(rng)
         par = sample_parity(rng, g.n)
         res = reduce_stochastic_parity(g, par)
-        res.game.require_valid()
+        assert validate_game(res.game) == []
         assert res.game.is_two_player
         n_prob = len(g.probabilistic_states)
         estar = even_ceiling(par.max_priority)
@@ -84,7 +84,7 @@ def test_lar_single_color_memory_collapses():
 def test_lar_keeps_probabilistic_states_probabilistic():
     g = build_game([(PROBABILISTIC, [0, 1]), (PLAYER1, [0])])
     res = lar_reduce(g, Rabin([({0}, {1})]))
-    res.game.require_valid()
+    assert validate_game(res.game) == []
     assert not res.game.is_two_player
     for idx in range(res.game.n):
         assert res.game.owners[idx] == g.owners[res.origin_map[idx]]

@@ -4,7 +4,7 @@ import pytest
 
 from omegagames.benchgen import SplitMix64
 from omegagames.errors import NotDeterministicGame, TooLarge
-from omegagames.graph import PLAYER0, PLAYER1, PROBABILISTIC, build_game
+from omegagames.graph import PLAYER0, PLAYER1, PROBABILISTIC, build_game, validate_game
 from omegagames.objectives import Parity, Rabin, Streett, complement
 from omegagames.solve import (
     almost_sure_solve,
@@ -261,11 +261,11 @@ def test_almost_sure_region_support_closure(rng):
 
 
 def test_weights_never_read_after_validation():
-    """Solvers work off the cached validity flag, so replacing the weight
-    accessor after one validation proves no algorithm touches weights."""
+    """Only ``build_game`` validates, so replacing the weight accessor
+    after validation proves no algorithm touches weights."""
     g = build_game([(PROBABILISTIC, [1, 2]), (PLAYER1, [0]), (PLAYER1, [0])])
     par = Parity((3, 0, 1))
-    g.require_valid()  # fills the cached violation list
+    assert validate_game(g) == []
     import omegagames.graph as graph_mod
 
     original = graph_mod.GameGraph.weights

@@ -12,7 +12,7 @@ from omegagames.errors import (
     StructureSyntaxError,
     UnknownProp,
 )
-from omegagames.graph import PLAYER0, PLAYER1, PROBABILISTIC, build_game
+from omegagames.graph import PLAYER0, PLAYER1, PROBABILISTIC, build_game, validate_game
 from omegagames.objectives import Parity, Rabin, Streett
 from omegagames.structio import (
     PropDecl,
@@ -190,7 +190,7 @@ def test_round_trip_all_acceptance_types():
 def test_parsed_games_validate():
     doc = parse_structure(GRAMMAR_SAMPLE)
     game, _ = document_to_game(doc)
-    assert game.violations == ()
+    assert validate_game(game) == []
 
 
 def test_parsed_dead_end_reported_precisely():
@@ -203,7 +203,7 @@ def test_parsed_dead_end_reported_precisely():
     doc = parse_structure(text)
     with pytest.raises(InvalidGame) as err:
         document_to_game(doc)
-    assert any(v.rule == "dead-end" and v.state == 0 for v in err.value.violations)
+    assert any(v.rule == "dead-end" and v.state == 0 for v in err.value.diagnostics)
 
 
 def test_fairness_wrapper_serializes_with_player_minus_one():
