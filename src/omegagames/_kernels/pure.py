@@ -1,8 +1,9 @@
 """Pure-Python fixpoint kernel: attractor BFS and the recursive parity solver.
 
-This module and the compiled ``_core`` extension implement the same
-algorithms step for step (identical tie-breaking, identical outputs); the
-package picks whichever is importable at load time.  Keep the two in sync.
+This module and the C extension ``_core`` (``_core.c``) implement the same
+algorithms step for step (identical tie-breaking, identical outputs); one
+of them is active per process, chosen through ``_kernels.active()``.  Keep
+the two in sync.
 """
 from __future__ import annotations
 

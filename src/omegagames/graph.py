@@ -148,13 +148,63 @@ def build_game(
 
     Probabilistic states are uniform over their successors unless
     ``weights`` maps them to weights parallel to the successor list.
-    Raises ``InvalidGame`` listing every broken invariant.
+    Raises ``InvalidGame`` listing every broken invariant, or every
+    argument of the wrong shape or type.
     """
-    g = _assemble(states, initial, weights)
-    violations = validate_game(g)
+    entries, given, violations = _typed_arguments(states, initial, weights)
+    if not violations:
+        g = _assemble(entries, initial, given)
+        violations = validate_game(g)
     if violations:
         raise InvalidGame(violations)
     return g
+
+
+def _typed_arguments(states, initial, weights):
+    """``build_game``'s arguments as ``(owner, successor tuple, label)``
+    entries and a state -> weight tuple map, plus a violation for every
+    value of the wrong shape or type.  ``_assemble`` and ``validate_game``
+    assume well-typed values and would fail on these with untyped errors."""
+    out = []
+    entries = []
+    try:
+        states = list(states)
+    except TypeError:
+        out.append(Violation("bad-entry", None, f"states must be a sequence, not {type(states).__name__}"))
+        states = []
+    for s, entry in enumerate(states):
+        if not isinstance(entry, (tuple, list)) or len(entry) not in (2, 3):
+            out.append(Violation("bad-entry", s, "expected an (owner, successors[, label]) tuple"))
+            continue
+        owner, targets, label = entry if len(entry) == 3 else (*entry, None)
+        if not isinstance(owner, int):
+            out.append(Violation("bad-owner", s, f"owner {owner!r} is not an integer"))
+        try:
+            targets = tuple(targets)
+        except TypeError:
+            out.append(Violation("bad-entry", s, "successors must be a sequence of states"))
+            continue
+        for t in targets:
+            if not isinstance(t, int):
+                out.append(Violation("bad-target", s, f"edge target {t!r} is not a state index"))
+        if label is not None and not isinstance(label, str):
+            out.append(Violation("bad-label", s, f"label {label!r} is not a string"))
+        entries.append((owner, targets, label))
+    given = {}
+    if weights is not None and not isinstance(weights, Mapping):
+        out.append(Violation("bad-weight", None, "weights must map states to weight sequences"))
+        weights = None
+    for s, ws in (weights or {}).items():
+        if not isinstance(s, int):
+            out.append(Violation("bad-weight", None, f"weights given for {s!r}, which is not a state index"))
+            continue
+        try:
+            given[s] = tuple(Fraction(w) for w in ws)
+        except (TypeError, ValueError, ArithmeticError):
+            out.append(Violation("bad-weight", s, f"weights {ws!r} are not numbers"))
+    if initial is not None and not isinstance(initial, int):
+        out.append(Violation("bad-initial", None, f"initial state {initial!r} is not a state index"))
+    return entries, given, out
 
 
 def _assemble(states, initial, weights=None) -> GameGraph:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omegagames.benchgen import SplitMix64
-from omegagames.errors import DeadEndCreated, EnvDeadlocked, RandomSupportBroken
+from omegagames.errors import DeadEndCreated, EnvDeadlocked, InvalidGame, RandomSupportBroken
 from omegagames.graph import (
     EXISTENTIAL,
     PLAYER0,
@@ -54,6 +54,60 @@ def test_duplicate_edge_and_bad_owner():
     g = GameGraph(owners=(7,), succ=((0, 0),), labels=(None,), initial=None)
     rules = {v.rule for v in validate_game(g)}
     assert rules == {"duplicate-edge", "bad-owner"}
+
+
+@pytest.mark.parametrize(
+    "states, kwargs, rule",
+    [
+        ([(PLAYER0,)], {}, "bad-entry"),
+        ([(PLAYER0, 3)], {}, "bad-entry"),
+        (7, {}, "bad-entry"),
+        ([(PLAYER0, ["a"])], {}, "bad-target"),
+        ([(0.5, [0])], {}, "bad-owner"),
+        ([(PLAYER0, [0], 5)], {}, "bad-label"),
+        ([(PROBABILISTIC, [0])], {"weights": {0: ["x"]}}, "bad-weight"),
+        ([(PROBABILISTIC, [0])], {"weights": {0.0: [1]}}, "bad-weight"),
+        ([(PROBABILISTIC, [0])], {"weights": [1]}, "bad-weight"),
+        ([(PLAYER0, [0])], {"initial": "0"}, "bad-initial"),
+    ],
+)
+def test_malformed_arguments_are_invalid_games(states, kwargs, rule):
+    with pytest.raises(InvalidGame) as err:
+        build_game(states, **kwargs)
+    assert [v.rule for v in err.value.diagnostics] == [rule]
+
+
+_scalar = (
+    st.none() | st.booleans() | st.integers(-2, 4) | st.integers()
+    | st.floats() | st.fractions() | st.text(max_size=3)
+)
+_value = st.recursive(
+    _scalar,
+    lambda inner: (
+        st.lists(inner, max_size=4) | st.tuples(inner, inner) | st.tuples(inner, inner, inner)
+        | st.dictionaries(_scalar.filter(lambda x: x == x), inner, max_size=3)
+    ),
+    max_leaves=10,
+)
+_entry = st.tuples(st.integers(-1, 3) | _value, st.lists(st.integers(-1, 4) | _value, max_size=3)) | st.tuples(
+    st.integers(0, 2), st.lists(st.integers(0, 3), max_size=3), st.none() | _value
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.lists(_entry | _value, max_size=4) | _value,
+    st.none() | st.dictionaries(st.integers(-1, 4) | _scalar.filter(lambda x: x == x), _value, max_size=3) | _value,
+    st.none() | st.integers(-1, 4) | _value,
+)
+def test_build_game_raises_only_invalid_game(states, weights, initial):
+    """Whatever the Python values, ``build_game`` returns a valid game or
+    raises ``InvalidGame``."""
+    try:
+        g = build_game(states, initial=initial, weights=weights)
+    except InvalidGame:
+        return
+    assert validate_game(g) == []
 
 
 def test_subgame_identity():

@@ -1,9 +1,9 @@
 """The compiled kernel and the pure-Python kernel must agree bit for bit,
 and the process-wide kernel choice must reach every kernel call."""
 import io
-import re
 import shlex
-from pathlib import Path
+import subprocess
+import sys
 
 import pytest
 
@@ -13,7 +13,7 @@ from omegagames.cli import cli_main
 from omegagames.errors import KernelUnavailable
 from omegagames.graph import PLAYER0, PLAYER1
 
-from .conftest import DATA, sample_game, sample_parity
+from .conftest import DATA, child_env, sample_game, sample_parity
 
 
 def test_backend_selection():
@@ -59,45 +59,6 @@ def test_cli_backend_reaches_every_kernel_call(name, command, monkeypatch, capsy
     assert cli_main(argv) == 0
     assert "error" not in capsys.readouterr().out
     assert set(calls) == {name}
-
-
-def test_shipped_core_c_matches_core_pyx():
-    """``_core.c`` is generated from ``_core.pyx`` and shipped for builds
-    without Cython.  Cython quotes the source around every C block: line N,
-    marked with ``# <<<``, and up to two lines either side.  Every quoted
-    line must equal the ``.pyx`` line it names, and every top-level
-    definition of the ``.pyx`` must be quoted, so an edit to either file
-    that is not regenerated into the other fails here."""
-    kernels = Path(_kernels.__file__).parent
-    pyx = (kernels / "_core.pyx").read_text(encoding="utf-8").splitlines()
-    c_lines = (kernels / "_core.c").read_text(encoding="utf-8").splitlines()
-    opener = '/* "omegagames/_kernels/_core.pyx":'
-    arrow = "             # <<<<<<<<<<<<<<"
-    marked = set()
-    for k, line in enumerate(c_lines):
-        if not line.lstrip().startswith(opener):
-            continue
-        number = int(line.lstrip()[len(opener):])
-        end = c_lines.index("*/", k)
-        block = [text[3:] for text in c_lines[k + 1:end]]
-        at = [i for i, text in enumerate(block) if text.endswith(arrow)]
-        assert len(at) == 1, f"_core.c line {k + 1}: no single marked line"
-        block[at[0]] = block[at[0]][: -len(arrow)]
-        first = number - at[0]
-        for i, text in enumerate(block):
-            assert 1 <= first + i <= len(pyx), f"_core.c line {k + 1} quotes past the .pyx"
-            assert text == pyx[first + i - 1].rstrip(), (
-                f"_core.c line {k + 2 + i} quotes {text!r} as _core.pyx line "
-                f"{first + i}, which is {pyx[first + i - 1]!r}"
-            )
-        marked.add(number)
-    definitions = [
-        n for n, text in enumerate(pyx, 1) if re.match(r"(cp?def|def) ", text)
-    ]
-    assert definitions and set(definitions) <= marked, (
-        f"_core.pyx definitions on lines {sorted(set(definitions) - marked)} "
-        "are missing from _core.c"
-    )
 
 
 def test_attract_agreement_on_random_games(compiled_kernel):
@@ -147,9 +108,87 @@ def test_solve_parity_agreement_on_benchmark_game(compiled_kernel):
     assert pure == fast
 
 
-def test_pure_solver_handles_empty_game():
-    pure = _kernels.resolve("python")
-    assert pure.solve_parity(0, [], [], [0], [], [0], []) == ([], [], [])
+def test_kernel_handles_empty_and_degenerate_inputs(kernel_name):
+    kern = _kernels.resolve(kernel_name)
+    assert kern.solve_parity(0, [], [], [0], [], [0], []) == ([], [], [])
+    assert kern.attract(0, [], [0], [], [0], [], [], [], [], (True, True, True)) == ([], [])
+    # two states, each the other's only successor
+    csr = (2, [0, 1], [0, 1, 2], [1, 0], [0, 1, 2], [1, 0])
+    assert kern.attract(*csr, [1, 1], [1, 1], [], (True, True, False)) == ([], [-1, -1])
+    # dead and repeated targets
+    assert kern.attract(*csr, [0, 1], [1, 1], [0, 1, 1], (False, True, False)) == ([1], [-1, -1])
+    assert kern.attract(*csr, [1, 1], [1, 1], [1, 1], (True, False, False)) == ([1, 0], [1, -1])
+
+
+def test_compiled_kernel_rejects_malformed_arrays(compiled_kernel):
+    """The C kernel checks every array against the state count, so a bad
+    call raises instead of reading or writing out of bounds."""
+    csr = (2, [0, 1], [0, 1, 2], [1, 0], [0, 1, 2], [1, 0])
+    exist = (True, True, False)
+    for targets, error in (
+        ([2], ValueError), ([-1], ValueError), ([0.5], TypeError),
+        (["a"], TypeError), (None, TypeError), ([2**40], OverflowError),
+    ):
+        with pytest.raises(error):
+            compiled_kernel.attract(*csr, [1, 1], [1, 1], targets, exist)
+    with pytest.raises(ValueError):
+        compiled_kernel.attract(2, [0, 1], [0, 1, 2], [1, 0], [0, 1], [1, 0], [1, 1], [1, 1], [0], exist)
+    with pytest.raises(ValueError):
+        compiled_kernel.solve_parity(2, [0, 1], [0, 1], [0, 1, 2], [1, 2], [0, 1, 2], [1, 0])
+    with pytest.raises(OverflowError):
+        compiled_kernel.solve_parity(2, [0, 1], [0, 2**31], [0, 1, 2], [1, 0], [0, 1, 2], [1, 0])
+
+
+_MEMCHECK = """
+import importlib.util, sys
+from omegagames._kernels import pure
+from omegagames.benchgen import SplitMix64
+from omegagames.graph import build_game
+
+spec = importlib.util.spec_from_file_location("omegagames._kernels._core", sys.argv[1])
+fast = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(fast)
+rng = SplitMix64(0xDEB06)
+for k in range(400):
+    n = k % 13
+    owners = 3 if k % 2 else 2
+    states = [
+        (rng.below(owners), sorted({rng.below(n) for _ in range(1 + rng.below(3))}))
+        for _ in range(n)
+    ]
+    f = build_game(states).flat
+    csr = (f.n, f.owners, f.succ_ptr, f.succ, f.pred_ptr, f.pred)
+    alive = [int(rng.below(4) > 0) for _ in range(n)]
+    live = [sum(alive[t] for t in f.succ[f.succ_ptr[s]:f.succ_ptr[s + 1]]) for s in range(n)]
+    targets = [rng.below(n) for _ in range(rng.below(4))] if n else []
+    exist = tuple(bool(rng.below(2)) for _ in range(3))
+    args = (*csr, alive, live, targets, exist)
+    assert fast.attract(*args) == pure.attract(*args), k
+    if owners == 2:
+        prio = [rng.below(5) for _ in range(n)]
+        args = (f.n, f.owners, prio, f.succ_ptr, f.succ, f.pred_ptr, f.pred)
+        assert fast.solve_parity(*args) == pure.solve_parity(*args), k
+    # the error paths free their buffers too
+    for bad in ([n], [0.5], None):
+        try:
+            fast.attract(*csr, alive, live, bad, exist)
+        except (ValueError, TypeError):
+            pass
+        else:
+            raise AssertionError((k, bad))
+print("ok")
+"""
+
+
+def test_compiled_kernel_under_debug_allocator(compiled_kernel):
+    """Agreement with the pure kernel on a few hundred seeded games (n = 0
+    included, and calls that raise), in a child whose debug allocator
+    aborts on a buffer overrun or a double free in the C code."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-c", _MEMCHECK, compiled_kernel.__file__],
+        capture_output=True, text=True, timeout=300, env=child_env(PYTHONMALLOC="debug"),
+    )
+    assert (proc.returncode, proc.stdout) == (0, "ok\n"), proc.stderr
 
 
 def test_full_pipeline_identical_across_backends(compiled_kernel, monkeypatch):

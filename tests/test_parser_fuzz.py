@@ -1,6 +1,7 @@
 """Property-based tests of the file parsers and the console: whatever the
 input, only an ``OmegagamesError`` escapes, and PGSolver export/import
-round-trips.
+round-trips.  Every example that solves runs on both kernels, which must
+give the same answer or the same error.
 
 The runs are derandomized, so every run of the suite tries the same
 examples; raise ``max_examples`` locally for a longer search.
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from omegagames import structio
+from omegagames import _kernels, structio
 from omegagames.console import ConsoleState, eval_statement
 from omegagames.errors import OmegagamesError
 from omegagames.graph import build_game
@@ -23,11 +24,12 @@ from omegagames.synthesis import dpa_to_synthesis_game
 
 from .conftest import DATA
 
+# The ``kernels`` fixture does not vary between examples.
 FUZZ = settings(
     max_examples=300,
     deadline=None,
     derandomize=True,
-    suppress_health_check=[HealthCheck.too_slow],
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
 )
 SAMPLE_XML = (DATA / "sample_game.xml").read_text(encoding="utf-8")
 # two parity specifications and a Streett assumption automaton
@@ -37,12 +39,38 @@ FA_XML = [(DATA / name).read_text(encoding="utf-8") for name in FA_FILES]
 LABEL_BREAKERS = '"\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029'
 
 
-def _load_pgsolver(text):
+@pytest.fixture
+def kernels(request, monkeypatch):
+    """The names of both kernels, with the built compiled kernel installed;
+    only the pure kernel's when there is no C compiler to build the other."""
+    try:
+        monkeypatch.setattr(_kernels, "_core", request.getfixturevalue("compiled_kernel"))
+    except pytest.skip.Exception:
+        return ("python",)
+    return ("python", "compiled")
+
+
+def _on_kernels(kernels, fn, *args):
+    """``fn(*args)`` on each kernel: its result, or its typed error as
+    (type, message).  The kernels must agree; returns the common outcome."""
+    outcomes = []
+    for name in kernels:
+        with _kernels.using(name):
+            try:
+                outcomes.append(fn(*args))
+            except OmegagamesError as exc:
+                outcomes.append((type(exc), str(exc)))
+    assert all(o == outcomes[0] for o in outcomes), outcomes
+    return outcomes[0]
+
+
+def _load_pgsolver(text, kernels):
     """Import and solve; only typed errors may escape."""
     try:
-        zielonka_solve(*import_pgsolver(text))
+        game = import_pgsolver(text)
     except OmegagamesError:
-        pass
+        return
+    _on_kernels(kernels, zielonka_solve, *game)
 
 
 def _load_xml(text):
@@ -54,8 +82,8 @@ def _load_xml(text):
 
 @FUZZ
 @given(st.text())
-def test_pgsolver_arbitrary_text_raises_only_typed_errors(text):
-    _load_pgsolver(text)
+def test_pgsolver_arbitrary_text_raises_only_typed_errors(kernels, text):
+    _load_pgsolver(text, kernels)
 
 
 _label = st.none() | st.text(alphabet=st.characters(blacklist_characters="\n\r"), max_size=6)
@@ -82,8 +110,8 @@ def _node_line(node):
     st.sampled_from(["", "parity 3;\n", "parity x;\n", "parity 99999999999999999999\n"]),
     st.lists(_node, max_size=8),
 )
-def test_pgsolver_node_lines_raise_only_typed_errors(header, nodes):
-    _load_pgsolver(header + "\n".join(map(_node_line, nodes)) + "\n")
+def test_pgsolver_node_lines_raise_only_typed_errors(kernels, header, nodes):
+    _load_pgsolver(header + "\n".join(map(_node_line, nodes)) + "\n", kernels)
 
 
 @st.composite
@@ -147,12 +175,12 @@ def _parity_game(draw):
 
 @FUZZ
 @given(_parity_game())
-def test_pgsolver_round_trip_keeps_game_and_regions(game_and_parity):
+def test_pgsolver_round_trip_keeps_game_and_regions(kernels, game_and_parity):
     g, par = game_and_parity
     g2, par2 = import_pgsolver(export_pgsolver(g, par))
     assert g2.owners == g.owners and g2.succ == g.succ and g2.labels == g.labels
-    w0, w1, _, _ = zielonka_solve(g, par)
-    v0, v1, _, _ = zielonka_solve(g2, par2)
+    w0, w1, _, _ = _on_kernels(kernels, zielonka_solve, g, par)
+    v0, v1, _, _ = _on_kernels(kernels, zielonka_solve, g2, par2)
     assert (w0.states, w1.states) == (v0.states, v1.states)
 
 
@@ -174,9 +202,6 @@ CONSOLE_LINES = (DATA / "console_session.txt").read_text(encoding="utf-8").split
     "$l = LTL toBuchiAutomaton",
     "$sg winningRegion 1",
 ]
-CONSOLE_FUZZ = settings(
-    FUZZ, suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture]
-)
 
 
 @pytest.fixture
@@ -195,24 +220,22 @@ def console(tmp_path, monkeypatch):
     return state
 
 
-def _eval(state, line):
-    try:
-        eval_statement(state, line)
-    except OmegagamesError:
-        pass
+def _eval(state, line, kernels):
+    """The printed text of ``line``, or its typed error, on both kernels."""
+    _on_kernels(kernels, lambda: eval_statement(state, line)[1])
 
 
-@CONSOLE_FUZZ
+@FUZZ
 @given(st.text())
-def test_console_arbitrary_statement_raises_only_typed_errors(console, line):
-    _eval(console, line)
+def test_console_arbitrary_statement_raises_only_typed_errors(console, kernels, line):
+    _eval(console, line, kernels)
 
 
 _shuffled_line = st.sampled_from(CONSOLE_LINES).flatmap(lambda line: st.permutations(shlex.split(line)))
 _vocabulary = sorted({token for line in CONSOLE_LINES for token in shlex.split(line)})
 
 
-@CONSOLE_FUZZ
+@FUZZ
 @given(_shuffled_line | st.lists(st.sampled_from(_vocabulary), max_size=6))
-def test_console_shuffled_statement_raises_only_typed_errors(console, tokens):
-    _eval(console, " ".join(tokens))
+def test_console_shuffled_statement_raises_only_typed_errors(console, kernels, tokens):
+    _eval(console, " ".join(tokens), kernels)
