@@ -2,9 +2,11 @@
 
 The hot loops (attractor BFS, Zielonka recursion) exist twice: a
 hand-written C extension (``_core``, built from ``_core.c``) and a
-pure-Python twin (``pure``) with identical outputs.  One kernel is active per process: the compiled one when
-importable, unless ``OMEGAGAMES_BACKEND=python`` or ``=compiled`` names
-another, or ``using`` switches it (``omegagames --backend NAME`` does).
+pure-Python twin (``pure``) that mirrors it routine for routine, with
+identical outputs.  One kernel is active per process: the compiled one
+when importable, unless ``OMEGAGAMES_BACKEND=python`` or ``=compiled``
+names another, or ``using`` switches it (``omegagames --backend NAME``
+does).
 Every solve reads ``active()``, which resolves the variable on first use.
 """
 import os

@@ -1,10 +1,10 @@
-/* Compiled fixpoint kernel: the C twin of ``pure.py``.
+/* Compiled fixpoint kernel: the C twin of ``pure.py``, routine for routine.
  *
- * Same algorithms, same tie-breaking, same outputs as the pure-Python
- * kernel: the attractor is a BFS in discovery order, a winning choice on a
- * minimum-priority state is its smallest alive successor, and Zielonka's
- * recursion runs on an explicit frame stack over a pool of removed states.
- * Any semantic change here must be mirrored in ``pure.py``.
+ * One attractor, ``attract_run`` (a BFS in discovery order), serves both
+ * ``attract`` and Zielonka's recursion, which runs on an explicit frame
+ * stack over a pool of states that ``set_alive`` removes and restores.  A
+ * winning choice on a minimum-priority state is its smallest alive
+ * successor.  Any semantic change here must be mirrored in ``pure.py``.
  *
  * The games arrive in CSR form (see ``graph._flatten``): the successors of
  * state s are succ[succ_ptr[s] .. succ_ptr[s+1]), its predecessors likewise
@@ -160,33 +160,33 @@ attract_run(const int *owners, const int *pred_ptr, const int *pred,
 static PyObject *
 attract(PyObject *self, PyObject *args, PyObject *kwargs)
 {
-    static char *kwlist[] = {"n", "owners", "succ_ptr", "succ", "pred_ptr", "pred",
-                             "alive", "live", "targets", "exist", NULL};
+    static char *kwlist[] = {"n", "owners", "succ_ptr", "pred_ptr", "pred", "targets",
+                             "exist", NULL};
     int n;
-    PyObject *o_owners, *o_succ_ptr, *o_succ, *o_pred_ptr, *o_pred;
-    PyObject *o_alive, *o_live, *o_targets, *o_exist;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iOOOOOOOOO", kwlist, &n,
-                                     &o_owners, &o_succ_ptr, &o_succ, &o_pred_ptr,
-                                     &o_pred, &o_alive, &o_live, &o_targets, &o_exist))
+    PyObject *o_owners, *o_succ_ptr, *o_pred_ptr, *o_pred, *o_targets, *o_exist;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iOOOOOO", kwlist, &n, &o_owners,
+                                     &o_succ_ptr, &o_pred_ptr, &o_pred, &o_targets, &o_exist))
         return NULL;
     if (n < 0)
         return PyErr_Format(PyExc_ValueError, "n must be non-negative, got %d", n);
     Bufs b = {.k = 0};
     PyObject *result = NULL, *order = NULL, *choices = NULL;
     Py_ssize_t m, tlen;
-    int *owners, *pred_ptr, *pred, *alive, *live, *targets, *exist;
+    int *owners, *succ_ptr, *pred_ptr, *pred, *alive, *live, *targets, *exist;
     int *mark, *cnt, *stamp, *choice, *queue;
     if (!(owners = read_ints(&b, o_owners, "owners", n, -1, NULL))
         || !(pred = read_ints(&b, o_pred, "pred", 0, n, &m))
+        || !(succ_ptr = read_ints(&b, o_succ_ptr, "succ_ptr", n + 1L, m + 1, NULL))
         || !(pred_ptr = read_ints(&b, o_pred_ptr, "pred_ptr", n + 1L, m + 1, NULL))
-        || !(alive = read_ints(&b, o_alive, "alive", n, -1, NULL))
-        || !(live = read_ints(&b, o_live, "live", n, -1, NULL))
         || !(targets = read_ints(&b, o_targets, "targets", 0, n, &tlen))
         || !(exist = read_ints(&b, o_exist, "exist", 3, -1, NULL))
+        || !(alive = filled(&b, n, 1)) || !(live = filled(&b, n, 0))
         || !(mark = filled(&b, n, 0)) || !(cnt = filled(&b, n, 0))
         || !(stamp = filled(&b, n, 0)) || !(choice = filled(&b, n, -1))
         || !(queue = filled(&b, n, 0)))
         goto done;
+    for (int s = 0; s < n; s++)
+        live[s] = succ_ptr[s + 1] - succ_ptr[s];
     int qlen = attract_run(owners, pred_ptr, pred, alive, live, exist,
                            targets, tlen, 1, mark, cnt, stamp, choice, queue);
     if ((order = to_list(queue, qlen)) && (choices = to_list(choice, n)))
@@ -335,11 +335,11 @@ done:
 
 static PyMethodDef methods[] = {
     {"attract", (PyCFunction)(void (*)(void))attract, METH_VARARGS | METH_KEYWORDS,
-     "attract(n, owners, succ_ptr, succ, pred_ptr, pred, alive, live, targets, exist)\n"
-     "--\n\nSee ``pure.attract``; identical contract."},
+     "attract(n, owners, succ_ptr, pred_ptr, pred, targets, exist)\n"
+     "--\n\nBackward attractor of ``targets``; contract as ``pure.attract``."},
     {"solve_parity", (PyCFunction)(void (*)(void))solve_parity, METH_VARARGS | METH_KEYWORDS,
      "solve_parity(n, owners, priorities, succ_ptr, succ, pred_ptr, pred)\n"
-     "--\n\nSee ``pure.solve_parity``; identical contract."},
+     "--\n\nZielonka's recursion; contract as ``pure.solve_parity``."},
     {NULL, NULL, 0, NULL},
 };
 

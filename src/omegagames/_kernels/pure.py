@@ -1,34 +1,32 @@
 """Pure-Python fixpoint kernel: attractor BFS and the recursive parity solver.
 
-This module and the C extension ``_core`` (``_core.c``) implement the same
-algorithms step for step (identical tie-breaking, identical outputs); one
-of them is active per process, chosen through ``_kernels.active()``.  Keep
-the two in sync.
+This module and the C extension ``_core`` (``_core.c``) are twins, routine
+for routine: ``_attract_run`` and ``_set_alive`` mirror ``attract_run``
+and ``set_alive``, and both kernels break ties the same way, so their
+outputs are identical.  One of them is active per process, chosen through
+``_kernels.active()``.  Keep the two in sync.
 """
 from __future__ import annotations
 
 NAME = "python"
 
 
-def attract(n, owners, succ_ptr, succ, pred_ptr, pred, alive, live, targets, exist):
-    """Backward attractor over the alive subgraph.
+def _attract_run(owners, pred_ptr, pred, alive, live, exist, targets, run,
+                 mark, cnt, stamp, choice):
+    """Backward attractor run number ``run`` over the alive subgraph.
 
-    ``exist[k]`` tells whether owner class ``k`` (0, 1, probabilistic)
-    joins the attractor on the first attracted successor; otherwise the
-    state joins once all its alive successors are attracted.  ``live`` must
-    hold the alive out-degrees.  Returns the attracted states in BFS
-    discovery order (targets first, ascending) and a choice array holding,
-    for every attracted exist-class state, the successor that attracted it.
+    A state of owner class ``o`` (0, 1, probabilistic) joins on its first
+    attracted successor when ``exist[o]``, recording that successor in
+    ``choice``; otherwise once all its ``live`` alive successors are
+    attracted.  The alive targets not yet marked in this run seed the queue
+    in their given order.  Returns the attracted states in BFS order.
+    ``mark`` and ``stamp`` hold run numbers, so no per-run clearing is
+    needed.
     """
-    e0, e1, e2 = exist
-    mark = [False] * n
-    cnt = [0] * n
-    stamped = [False] * n
-    choice = [-1] * n
     queue = []
     for t in targets:
-        if alive[t] and not mark[t]:
-            mark[t] = True
+        if alive[t] and mark[t] != run:
+            mark[t] = run
             queue.append(t)
     qi = 0
     while qi < len(queue):
@@ -36,22 +34,49 @@ def attract(n, owners, succ_ptr, succ, pred_ptr, pred, alive, live, targets, exi
         qi += 1
         for j in range(pred_ptr[t], pred_ptr[t + 1]):
             s = pred[j]
-            if not alive[s] or mark[s]:
+            if not alive[s] or mark[s] == run:
                 continue
             o = owners[s]
-            if (o == 0 and e0) or (o == 1 and e1) or (o == 2 and e2):
-                mark[s] = True
+            if 0 <= o <= 2 and exist[o]:
+                mark[s] = run
                 choice[s] = t
                 queue.append(s)
             else:
-                if not stamped[s]:
-                    stamped[s] = True
+                if stamp[s] != run:
+                    stamp[s] = run
                     cnt[s] = live[s]
                 cnt[s] -= 1
                 if cnt[s] == 0:
-                    mark[s] = True
+                    mark[s] = run
                     queue.append(s)
-    return queue, choice
+    return queue
+
+
+def _set_alive(pred_ptr, pred, alive, live, states, on):
+    """Mark ``states`` dead (``on`` false) or alive again, keeping every
+    predecessor's count of alive successors."""
+    step = 1 if on else -1
+    for s in states:
+        alive[s] = on
+        for j in range(pred_ptr[s], pred_ptr[s + 1]):
+            live[pred[j]] += step
+
+
+def attract(n, owners, succ_ptr, pred_ptr, pred, targets, exist):
+    """Backward attractor of ``targets`` over the whole game.
+
+    ``exist[k]`` tells whether owner class ``k`` (0, 1, probabilistic)
+    joins the attractor on the first attracted successor; otherwise the
+    state joins once all its successors are attracted.  Returns the
+    attracted states in BFS discovery order (targets first, in their given
+    order) and a choice array holding, for every attracted exist-class
+    state, the successor that attracted it.
+    """
+    live = [succ_ptr[s + 1] - succ_ptr[s] for s in range(n)]
+    choice = [-1] * n
+    order = _attract_run(owners, pred_ptr, pred, [True] * n, live, exist, targets,
+                         1, [0] * n, [0] * n, [0] * n, choice)
+    return order, choice
 
 
 def solve_parity(n, owners, priorities, succ_ptr, succ, pred_ptr, pred):
@@ -72,46 +97,6 @@ def solve_parity(n, owners, priorities, succ_ptr, succ, pred_ptr, pred):
     stamp = [0] * n
     run = 0
 
-    def attract_sub(player, targets, choice_out):
-        nonlocal run
-        run += 1
-        queue = list(targets)
-        for t in targets:
-            mark[t] = run
-        qi = 0
-        while qi < len(queue):
-            t = queue[qi]
-            qi += 1
-            for j in range(pred_ptr[t], pred_ptr[t + 1]):
-                s = pred[j]
-                if not alive[s] or mark[s] == run:
-                    continue
-                if owners[s] == player:
-                    mark[s] = run
-                    choice_out[s] = t
-                    queue.append(s)
-                else:
-                    if stamp[s] != run:
-                        stamp[s] = run
-                        cnt[s] = live[s]
-                    cnt[s] -= 1
-                    if cnt[s] == 0:
-                        mark[s] = run
-                        queue.append(s)
-        return queue
-
-    def remove_all(states):
-        for s in states:
-            alive[s] = False
-            for j in range(pred_ptr[s], pred_ptr[s + 1]):
-                live[pred[j]] -= 1
-
-    def restore_all(states):
-        for s in states:
-            alive[s] = True
-            for j in range(pred_ptr[s], pred_ptr[s + 1]):
-                live[pred[j]] += 1
-
     # Frame: [phase, player, min_priority, removed_states]
     frames = [[0, -1, -1, None]]
     while frames:
@@ -127,19 +112,19 @@ def solve_parity(n, owners, priorities, succ_ptr, succ, pred_ptr, pred):
                 continue
             i = m & 1
             targets = [s for s in range(n) if alive[s] and priorities[s] == m]
-            region = attract_sub(i, targets, choice[i])
-            remove_all(region)
-            frame[0] = 1
-            frame[1] = i
-            frame[2] = m
-            frame[3] = region
+            run += 1
+            exist = (i == 0, i == 1, False)
+            region = _attract_run(owners, pred_ptr, pred, alive, live, exist, targets, run,
+                                  mark, cnt, stamp, choice[i])
+            _set_alive(pred_ptr, pred, alive, live, region, False)
+            frame[:] = [1, i, m, region]
             frames.append([0, -1, -1, None])
         elif phase == 1:
             i = frame[1]
             opp = 1 - i
             rest = [s for s in range(n) if alive[s] and winner[s] == opp]
+            _set_alive(pred_ptr, pred, alive, live, frame[3], True)
             if not rest:
-                restore_all(frame[3])
                 chi = choice[i]
                 for s in frame[3]:
                     winner[s] = i
@@ -152,15 +137,17 @@ def solve_parity(n, owners, priorities, succ_ptr, succ, pred_ptr, pred):
                         chi[s] = best
                 frames.pop()
             else:
-                restore_all(frame[3])
-                trap = attract_sub(opp, rest, choice[opp])
+                run += 1
+                exist = (opp == 0, opp == 1, False)
+                trap = _attract_run(owners, pred_ptr, pred, alive, live, exist, rest, run,
+                                    mark, cnt, stamp, choice[opp])
                 for s in trap:
                     winner[s] = opp
-                remove_all(trap)
+                _set_alive(pred_ptr, pred, alive, live, trap, False)
                 frame[0] = 2
                 frame[3] = trap
                 frames.append([0, -1, -1, None])
         else:
-            restore_all(frame[3])
+            _set_alive(pred_ptr, pred, alive, live, frame[3], True)
             frames.pop()
     return winner, choice[0], choice[1]

@@ -108,26 +108,29 @@ def _cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part]
+def _counts(text: str) -> list[int]:
+    """argparse type of ``--states``/``--edges``: a comma list of ints."""
+    try:
+        return [int(part) for part in text.split(",") if part]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma list of integers: {text!r}") from None
+
+
+def _fraction(text: str) -> Fraction:
+    """argparse type of ``--prob-frac``: a decimal or a ratio like 1/10."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a fraction: {text!r}") from None
 
 
 def _cmd_bench(args) -> int:
-    states = _int_list(args.states)
-    edges = _int_list(args.edges)
-    if len(states) != len(edges):
+    if len(args.states) != len(args.edges):
         print("--states and --edges need the same number of entries", file=sys.stderr)
         return EXIT_INPUT
     specs = [
-        BenchSpec(
-            n,
-            m,
-            args.priorities,
-            Fraction(args.prob_frac),
-            args.seed,
-            args.reps,
-        )
-        for n, m in zip(states, edges)
+        BenchSpec(n, m, args.priorities, args.prob_frac, args.seed, args.reps)
+        for n, m in zip(args.states, args.edges)
     ]
     if args.compare:
         compare_backends(specs, out=sys.stdout)
@@ -206,10 +209,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_synth)
 
     p = sub.add_parser("bench", help="seeded random-game benchmark")
-    p.add_argument("--states", required=True, help="state count, or comma list")
-    p.add_argument("--edges", required=True, help="edge count, or comma list")
+    p.add_argument("--states", type=_counts, required=True, help="state count, or comma list")
+    p.add_argument("--edges", type=_counts, required=True, help="edge count, or comma list")
     p.add_argument("--priorities", type=int, default=3)
-    p.add_argument("--prob-frac", default="0.1", help="fraction of probabilistic states")
+    p.add_argument("--prob-frac", type=_fraction, default="0.1",
+                   help="fraction of probabilistic states")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--reps", type=int, default=1)
     p.add_argument("--csv", action="store_true", help="also emit machine-readable CSV")

@@ -118,7 +118,7 @@ class _Flat:
 
 def _flatten(g: GameGraph) -> _Flat:
     n = g.n
-    owners = list(g.owners)
+    owners = g.owners
     succ_ptr = [0] * (n + 1)
     succ = []
     for s in range(n):
@@ -313,11 +313,8 @@ def attractor(
         random_mode == EXISTENTIAL,
     )
     flat = g.flat
-    alive = [1] * g.n
-    live = [len(g.succ[s]) for s in range(g.n)]
     order, choice = _kernels.active().attract(
-        flat.n, flat.owners, flat.succ_ptr, flat.succ, flat.pred_ptr, flat.pred,
-        alive, live, targets, exist,
+        flat.n, flat.owners, flat.succ_ptr, flat.pred_ptr, flat.pred, targets, exist
     )
     region = frozenset(order)
     target_set = set(targets)

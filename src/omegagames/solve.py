@@ -45,7 +45,7 @@ def zielonka_solve(g: GameGraph, obj: Parity) -> tuple[Region, Region, Strategy,
         )
     flat = g.flat
     winner, ch0, ch1 = _kernels.active().solve_parity(
-        flat.n, flat.owners, list(obj.priorities),
+        flat.n, flat.owners, obj.priorities,
         flat.succ_ptr, flat.succ, flat.pred_ptr, flat.pred,
     )
     w0 = frozenset(s for s in range(g.n) if winner[s] == 0)
@@ -90,8 +90,7 @@ def cooperative_region(g: GameGraph, obj: Objective) -> Region:
         return Region(frozenset(), PLAYER0, "cooperative")
     flat = g.flat
     order, _ = _kernels.active().attract(
-        flat.n, flat.owners, flat.succ_ptr, flat.succ, flat.pred_ptr, flat.pred,
-        [1] * g.n, [len(g.succ[s]) for s in range(g.n)],
+        flat.n, flat.owners, flat.succ_ptr, flat.pred_ptr, flat.pred,
         sorted(targets), (True, True, True),
     )
     return Region(frozenset(order), PLAYER0, "cooperative")

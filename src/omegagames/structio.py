@@ -33,6 +33,7 @@ from .graph import PLAYER0, PLAYER1, PROBABILISTIC, GameGraph, build_game
 from .objectives import Objective, Parity, Rabin, Streett, buchi_parity
 
 _PLAYER_TAGS = {"0": PLAYER0, "1": PLAYER1, "-1": PROBABILISTIC}
+_TAG_OF_OWNER = {owner: tag for tag, owner in _PLAYER_TAGS.items()}
 
 
 def read_text(path) -> str:
@@ -49,7 +50,6 @@ def write_text(path, text: str) -> None:
         Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
         raise FileAccessError(path, "write", exc) from None
-_TAG_OF_OWNER = {PLAYER0: "0", PLAYER1: "1", PROBABILISTIC: "-1"}
 
 
 def _is_pair_set(acc) -> bool:

@@ -252,6 +252,21 @@ def test_bench_table_shape(workdir, capsys):
     assert "states,edges,avg,best,worst" in out
 
 
+@pytest.mark.parametrize(
+    "option, value",
+    [
+        ("--states", "a"), ("--edges", "x"), ("--prob-frac", "abc"),
+        ("--prob-frac", "nan"), ("--prob-frac", "0.5.1"), ("--prob-frac", "1/0"),
+    ],
+)
+def test_bench_malformed_number_is_usage_error(option, value, capsys):
+    argv = {"--states": "40", "--edges": "160", option: value}
+    assert cli_main(["bench", *(part for pair in argv.items() for part in pair)]) == 2
+    err = capsys.readouterr().err
+    assert f"argument {option}:" in err
+    assert "Traceback" not in err
+
+
 def test_synth_transducer_output_file(workdir, capsys):
     assert cli_main(["synth", "transducer", "repeated_grant.xml", "-o", "sys.txt"]) == 0
     text = (workdir / "sys.txt").read_text(encoding="utf-8")

@@ -1,5 +1,6 @@
 """The compiled kernel and the pure-Python kernel must agree bit for bit,
 and the process-wide kernel choice must reach every kernel call."""
+import inspect
 import io
 import shlex
 import subprocess
@@ -68,16 +69,9 @@ def test_attract_agreement_on_random_games(compiled_kernel):
     for _ in range(200):
         g = sample_game(rng, max_states=8)
         flat = g.flat
-        targets = sorted({s for s in range(g.n) if rng.below(3) == 0})
-        alive = [1 if rng.below(5) else 0 for _ in range(g.n)]
-        for t in targets:
-            alive[t] = 1
-        live = [sum(alive[t] for t in g.succ[s]) for s in range(g.n)]
+        targets = [rng.below(g.n) for _ in range(rng.below(g.n + 1))]
         exist = (bool(rng.below(2)), bool(rng.below(2)), bool(rng.below(2)))
-        args = (
-            flat.n, flat.owners, flat.succ_ptr, flat.succ,
-            flat.pred_ptr, flat.pred, alive, live, targets, exist,
-        )
+        args = (flat.n, flat.owners, flat.succ_ptr, flat.pred_ptr, flat.pred, targets, exist)
         assert pure.attract(*args) == fast.attract(*args)
 
 
@@ -111,28 +105,41 @@ def test_solve_parity_agreement_on_benchmark_game(compiled_kernel):
 def test_kernel_handles_empty_and_degenerate_inputs(kernel_name):
     kern = _kernels.resolve(kernel_name)
     assert kern.solve_parity(0, [], [], [0], [], [0], []) == ([], [], [])
-    assert kern.attract(0, [], [0], [], [0], [], [], [], [], (True, True, True)) == ([], [])
+    assert kern.attract(0, [], [0], [0], [], [], (True, True, True)) == ([], [])
     # two states, each the other's only successor
-    csr = (2, [0, 1], [0, 1, 2], [1, 0], [0, 1, 2], [1, 0])
-    assert kern.attract(*csr, [1, 1], [1, 1], [], (True, True, False)) == ([], [-1, -1])
-    # dead and repeated targets
-    assert kern.attract(*csr, [0, 1], [1, 1], [0, 1, 1], (False, True, False)) == ([1], [-1, -1])
-    assert kern.attract(*csr, [1, 1], [1, 1], [1, 1], (True, False, False)) == ([1, 0], [1, -1])
+    csr = (2, [0, 1], [0, 1, 2], [0, 1, 2], [1, 0])
+    assert kern.attract(*csr, [], (True, True, False)) == ([], [-1, -1])
+    # repeated targets seed the queue once each, in their given order
+    assert kern.attract(*csr, [1, 0, 1], (False, True, False)) == ([1, 0], [-1, -1])
+    assert kern.attract(*csr, [1, 1], (True, False, False)) == ([1, 0], [1, -1])
+
+
+def test_kernels_are_twins_in_signature(compiled_kernel):
+    """Both kernels take the same parameter names, so a call by keyword
+    means the same on either."""
+    pure = _kernels.resolve("python")
+    for fn in ("attract", "solve_parity"):
+        names = list(inspect.signature(getattr(pure, fn)).parameters)
+        assert names == list(inspect.signature(getattr(compiled_kernel, fn)).parameters), fn
+    assert list(inspect.signature(pure.attract).parameters) == [
+        "n", "owners", "succ_ptr", "pred_ptr", "pred", "targets", "exist",
+    ]
 
 
 def test_compiled_kernel_rejects_malformed_arrays(compiled_kernel):
     """The C kernel checks every array against the state count, so a bad
     call raises instead of reading or writing out of bounds."""
-    csr = (2, [0, 1], [0, 1, 2], [1, 0], [0, 1, 2], [1, 0])
+    csr = (2, [0, 1], [0, 1, 2], [0, 1, 2], [1, 0])
     exist = (True, True, False)
     for targets, error in (
         ([2], ValueError), ([-1], ValueError), ([0.5], TypeError),
         (["a"], TypeError), (None, TypeError), ([2**40], OverflowError),
     ):
         with pytest.raises(error):
-            compiled_kernel.attract(*csr, [1, 1], [1, 1], targets, exist)
-    with pytest.raises(ValueError):
-        compiled_kernel.attract(2, [0, 1], [0, 1, 2], [1, 0], [0, 1], [1, 0], [1, 1], [1, 1], [0], exist)
+            compiled_kernel.attract(*csr, targets, exist)
+    for succ_ptr, pred_ptr in (([0, 1], [0, 1, 2]), ([0, 1, 3], [0, 1, 2]), ([0, 1, 2], [0, 1])):
+        with pytest.raises(ValueError):
+            compiled_kernel.attract(2, [0, 1], succ_ptr, pred_ptr, [1, 0], [0], exist)
     with pytest.raises(ValueError):
         compiled_kernel.solve_parity(2, [0, 1], [0, 1], [0, 1, 2], [1, 2], [0, 1, 2], [1, 0])
     with pytest.raises(OverflowError):
@@ -157,12 +164,10 @@ for k in range(400):
         for _ in range(n)
     ]
     f = build_game(states).flat
-    csr = (f.n, f.owners, f.succ_ptr, f.succ, f.pred_ptr, f.pred)
-    alive = [int(rng.below(4) > 0) for _ in range(n)]
-    live = [sum(alive[t] for t in f.succ[f.succ_ptr[s]:f.succ_ptr[s + 1]]) for s in range(n)]
+    csr = (f.n, f.owners, f.succ_ptr, f.pred_ptr, f.pred)
     targets = [rng.below(n) for _ in range(rng.below(4))] if n else []
     exist = tuple(bool(rng.below(2)) for _ in range(3))
-    args = (*csr, alive, live, targets, exist)
+    args = (*csr, targets, exist)
     assert fast.attract(*args) == pure.attract(*args), k
     if owners == 2:
         prio = [rng.below(5) for _ in range(n)]
@@ -171,7 +176,7 @@ for k in range(400):
     # the error paths free their buffers too
     for bad in ([n], [0.5], None):
         try:
-            fast.attract(*csr, alive, live, bad, exist)
+            fast.attract(*csr, bad, exist)
         except (ValueError, TypeError):
             pass
         else:
