@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 from . import _kernels
 from .errors import InvalidSpec
-from .graph import PROBABILISTIC, GameGraph, _assemble
+from .graph import PROBABILISTIC, GameGraph
 from .objectives import Parity
 from .solve import almost_sure_solve
 
@@ -111,8 +111,8 @@ def random_game(spec: BenchSpec) -> tuple[GameGraph, Parity]:
         idx[j], idx[r] = idx[r], idx[j]
     for s in idx[:k]:
         owners[s] = PROBABILISTIC
-    states = [(owners[s], succ[s]) for s in range(n)]
-    return _assemble(states, 0), Parity(tuple(prios), count=d)
+    game = GameGraph(tuple(owners), tuple(map(tuple, succ)), labels=(None,) * n, initial=0)
+    return game, Parity(tuple(prios), count=d)
 
 
 @dataclass(frozen=True)

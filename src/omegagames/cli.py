@@ -42,6 +42,14 @@ def _load_synthesis_game(path: str):
     return dpa_to_synthesis_game(structio.dpa_from_document(doc))
 
 
+def _game_document(game, obj):
+    """The game as a structure document.  PGSolver files carry no initial
+    state and game documents need one, so such a game starts at state 0."""
+    if game.initial is None:
+        game = dataclasses.replace(game, initial=0)
+    return structio.game_to_document(game, obj)
+
+
 def _emit(text: str, out_path):
     if out_path:
         structio.write_text(out_path, text)
@@ -75,8 +83,7 @@ def _cmd_coop(args) -> int:
 
 def _cmd_reduce(args) -> int:
     game, parity = to_two_player_parity(*_load_game(args.file))
-    doc = structio.game_to_document(game, parity)
-    _emit(structio.write_structure(doc), args.output)
+    _emit(structio.write_structure(_game_document(game, parity)), args.output)
     print(
         f"reduced to a 2-player parity game: {game.n} states, {game.edge_count} edges",
         file=sys.stderr,
@@ -165,11 +172,7 @@ def _cmd_convert(args) -> int:
     if args.to == "pgsolver":
         _emit(export_pgsolver(game, obj), args.output)
     else:
-        if game.initial is None:
-            # PGSolver files carry no initial state; game documents need one
-            game = dataclasses.replace(game, initial=0)
-        doc = structio.game_to_document(game, obj)
-        _emit(structio.write_structure(doc), args.output)
+        _emit(structio.write_structure(_game_document(game, obj)), args.output)
     return EXIT_OK
 
 

@@ -9,7 +9,9 @@ qualitative results are independent of the exact probabilities.
 ``build_game`` is the one constructor that validates, and every game from
 outside the package enters through it.  Games derived from a valid game
 (reductions, subgames, fairness wrappers) are valid by construction, so
-they are built without a second check.
+they are built without a second check: straight from owner, successor and
+label columns with the trusted ``GameGraph`` constructor, sharing their
+source's successor tuples for the states they leave unchanged.
 """
 from __future__ import annotations
 
@@ -50,8 +52,9 @@ class GameGraph:
     States are dense indices 0..n-1.  ``succ`` holds the ordered adjacency
     list of each state.  ``given_weights`` maps a probabilistic state to
     the weights a caller gave for it, parallel to its edges; every other
-    probabilistic state is uniform over its edges.  The constructor trusts
-    its arguments: ``build_game`` is the validating one.
+    probabilistic state is uniform over its edges.  ``labels`` is empty or
+    holds one entry per state, as it does in every derived game.  The
+    constructor trusts its arguments: ``build_game`` is the validating one.
     """
 
     owners: tuple[int, ...]
@@ -151,9 +154,9 @@ def build_game(
     Raises ``InvalidGame`` listing every broken invariant, or every
     argument of the wrong shape or type.
     """
-    entries, given, violations = _typed_arguments(states, initial, weights)
+    owners, succ, labels, given, violations = _typed_arguments(states, initial, weights)
     if not violations:
-        g = _assemble(entries, initial, given)
+        g = GameGraph(owners, succ, given, labels, initial)
         violations = validate_game(g)
     if violations:
         raise InvalidGame(violations)
@@ -161,12 +164,14 @@ def build_game(
 
 
 def _typed_arguments(states, initial, weights):
-    """``build_game``'s arguments as ``(owner, successor tuple, label)``
-    entries and a state -> weight tuple map, plus a violation for every
-    value of the wrong shape or type.  ``_assemble`` and ``validate_game``
-    assume well-typed values and would fail on these with untyped errors."""
+    """``build_game``'s arguments as owner, successor and label columns and
+    a state -> weight tuple map, plus a violation for every value of the
+    wrong shape or type.  ``validate_game`` assumes well-typed values and
+    would fail on these with untyped errors."""
     out = []
-    entries = []
+    owners = []
+    succ = []
+    labels = []
     try:
         states = list(states)
     except TypeError:
@@ -189,7 +194,9 @@ def _typed_arguments(states, initial, weights):
                 out.append(Violation("bad-target", s, f"edge target {t!r} is not a state index"))
         if label is not None and not isinstance(label, str):
             out.append(Violation("bad-label", s, f"label {label!r} is not a string"))
-        entries.append((owner, targets, label))
+        owners.append(owner)
+        succ.append(targets)
+        labels.append(label)
     given = {}
     if weights is not None and not isinstance(weights, Mapping):
         out.append(Violation("bad-weight", None, "weights must map states to weight sequences"))
@@ -204,26 +211,7 @@ def _typed_arguments(states, initial, weights):
             out.append(Violation("bad-weight", s, f"weights {ws!r} are not numbers"))
     if initial is not None and not isinstance(initial, int):
         out.append(Violation("bad-initial", None, f"initial state {initial!r} is not a state index"))
-    return entries, given, out
-
-
-def _assemble(states, initial, weights=None) -> GameGraph:
-    """``build_game`` without the validation, for games derived from a
-    valid one."""
-    owners = []
-    succ = []
-    labels = []
-    for entry in states:
-        if len(entry) == 3:
-            owner, targets, label = entry
-        else:
-            owner, targets = entry
-            label = None
-        owners.append(owner)
-        succ.append(tuple(targets))
-        labels.append(label)
-    given = {s: tuple(Fraction(w) for w in ws) for s, ws in (weights or {}).items()}
-    return GameGraph(tuple(owners), tuple(succ), given, tuple(labels), initial)
+    return tuple(owners), tuple(succ), tuple(labels), given, out
 
 
 def validate_game(g: GameGraph) -> list[Violation]:
@@ -267,22 +255,22 @@ def subgame(g: GameGraph, keep: Iterable[int]) -> tuple[GameGraph, dict[int, int
     """
     kept = sorted(set(keep))
     index = {s: i for i, s in enumerate(kept)}
-    kept_set = set(kept)
-    states = []
+    succ = []
     for s in kept:
         if g.owners[s] == PROBABILISTIC:
-            lost = [t for t in g.succ[s] if t not in kept_set]
+            lost = [t for t in g.succ[s] if t not in index]
             if lost:
                 raise RandomSupportBroken(
                     f"probabilistic state {s} loses successors {lost}"
                 )
-        targets = [index[t] for t in g.succ[s] if t in kept_set]
+        targets = tuple([index[t] for t in g.succ[s] if t in index])
         if not targets:
             raise DeadEndCreated(f"state {s} has no successor inside the kept set")
-        states.append((g.owners[s], targets, g.label(s)))
-    weights = {index[s]: ws for s, ws in g.given_weights.items() if s in kept_set}
-    new_initial = index.get(g.initial) if g.initial is not None else None
-    return _assemble(states, new_initial, weights), index
+        succ.append(targets)
+    owners = tuple([g.owners[s] for s in kept])
+    weights = {index[s]: ws for s, ws in g.given_weights.items() if s in index}
+    labels = tuple([g.label(s) for s in kept])
+    return GameGraph(owners, tuple(succ), weights, labels, index.get(g.initial)), index
 
 
 def attractor(

@@ -16,12 +16,12 @@ import re
 from .errors import NotDeterministicGame, SchemaError, StructureSyntaxError, TypeMismatch
 from .graph import GameGraph, build_game
 from .objectives import Parity
+from .reductions import even_ceiling
 
 
 def flip_priorities(priorities) -> tuple[list[int], int]:
     """Min-even <-> max-even flip; returns the flipped values and E*."""
-    top = max(priorities, default=0)
-    estar = top if top % 2 == 0 else top + 1
+    estar = even_ceiling(max(priorities, default=0))
     return [estar - p for p in priorities], estar
 
 
@@ -88,10 +88,6 @@ def import_pgsolver(text: str) -> tuple[GameGraph, Parity]:
     ids = sorted(entries)
     if ids != list(range(len(ids))):
         raise StructureSyntaxError(f"node ids must be dense 0..{len(ids) - 1}", 1)
-    states = []
-    for s in ids:
-        prio, owner, succ, label = entries[s]
-        states.append((owner, succ, label))
-    game = build_game(states)
+    game = build_game([entries[s][1:] for s in ids])  # (owner, successors, label)
     flipped_back, _ = flip_priorities([entries[s][0] for s in ids])
     return game, Parity(tuple(flipped_back))

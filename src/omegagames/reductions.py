@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
 from .errors import NoPairs, UndefinedOnRegion
-from .graph import PLAYER0, PLAYER1, PROBABILISTIC, GameGraph, _assemble
+from .graph import PLAYER0, PLAYER1, PROBABILISTIC, GameGraph
 from .objectives import Objective, Parity, Rabin, Streett, complement
 from .strategies import Strategy
 
@@ -58,9 +58,9 @@ def reduce_stochastic_parity(g: GameGraph, obj: Parity) -> ReductionResult:
     priority of ``s``) from which an even value e <= E* is claimed as the
     recurring minimum.  Player 1 then either accepts the claim (priority e,
     player 1 picks the successor) or challenges it (priority e+1, player 0
-    must pick).  Deterministic states are copied verbatim; announcement
-    states reuse the index of the state they replace, so copies of original
-    states are exactly the indices below ``g.n``.
+    must pick).  Deterministic states keep their rows (the same tuples);
+    announcement states reuse the index of the state they replace, so
+    copies of original states are exactly the indices below ``g.n``.
     """
     if len(obj.priorities) != g.n:
         raise ValueError("objective does not match the game")
@@ -68,27 +68,22 @@ def reduce_stochastic_parity(g: GameGraph, obj: Parity) -> ReductionResult:
         return ReductionResult(g, g, obj)
     estar = even_ceiling(obj.max_priority)
     neutral = estar + 2
-    evens = list(range(0, estar + 1, 2))
-    states = []
-    prios = []
-    for s in range(g.n):
-        if g.owners[s] == PROBABILISTIC:
-            states.append([PLAYER0, [], g.label(s)])  # announcement; edges below
-        else:
-            states.append([g.owners[s], list(g.succ[s]), g.label(s)])
-        prios.append(obj.priorities[s])
+    owners = list(g.owners)
+    succ = list(g.succ)
+    prios = list(obj.priorities)
     for s in g.probabilistic_states:
-        support = list(g.support(s))
-        for e in evens:
-            decide = len(states)
-            states.append([PLAYER1, [decide + 1, decide + 2], None])
-            prios.append(neutral)
-            states.append([PLAYER1, support, None])  # accept: adversary moves
-            prios.append(e)
-            states.append([PLAYER0, support, None])  # challenge: announcer moves
-            prios.append(e + 1)
-            states[s][1].append(decide)
-    reduced = _assemble(states, g.initial)
+        support = g.support(s)
+        first = len(owners)
+        for e in range(0, estar + 1, 2):
+            decide = len(owners)
+            # decide, accept (adversary moves), challenge (announcer moves)
+            owners += (PLAYER1, PLAYER1, PLAYER0)
+            succ += ((decide + 1, decide + 2), support, support)
+            prios += (neutral, e, e + 1)
+        owners[s] = PLAYER0  # announcement: one edge per decide state
+        succ[s] = tuple(range(first, len(owners), 3))
+    labels = (g.labels or (None,) * g.n) + (None,) * (len(owners) - g.n)
+    reduced = GameGraph(tuple(owners), tuple(succ), {}, labels, g.initial)
     return ReductionResult(g, reduced, Parity(tuple(prios)), kind="gadget")
 
 
@@ -144,7 +139,7 @@ def lar_reduce(g: GameGraph, obj: Streett | Rabin) -> ReductionResult:
 
     for s in range(g.n):
         intern(s, r_init)
-    succ_out: list[list[int]] = []
+    succ_out: list[tuple[int, ...]] = []
     prios: list[int] = []
     qi = 0
     while qi < len(order):
@@ -156,17 +151,14 @@ def lar_reduce(g: GameGraph, obj: Streett | Rabin) -> ReductionResult:
         prios.append(flip_base - (2 * e if e > f else 2 * f + 1) - shift)
         if hit:
             rec = tuple(i for i in rec if i in hit) + tuple(i for i in rec if i not in hit)
-        succ_out.append([intern(t, rec) for t in g.succ[s]])
+        succ_out.append(tuple([intern(t, rec) for t in g.succ[s]]))
 
-    states = []
-    weights = {}
-    for idx, (s, _rec) in enumerate(order):
-        states.append((g.owners[s], succ_out[idx], g.label(s)))
-        if s in g.given_weights:
-            weights[idx] = g.given_weights[s]
-    product = _assemble(states, g.initial, weights)
-    origin = tuple(s for s, _rec in order)
-    memory = tuple(rec for _s, rec in order)
+    origin = tuple([s for s, _rec in order])
+    memory = tuple([rec for _s, rec in order])
+    owners = tuple([g.owners[s] for s in origin])
+    weights = {idx: g.given_weights[s] for idx, s in enumerate(origin) if s in g.given_weights}
+    labels = tuple([g.label(s) for s in origin])
+    product = GameGraph(owners, tuple(succ_out), weights, labels, g.initial)
     return ReductionResult(g, product, Parity(tuple(prios)), origin, memory, kind="lar")
 
 

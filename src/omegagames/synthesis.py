@@ -24,7 +24,7 @@ from .errors import (
     SpecUnsatisfiable,
     StrategyIncomplete,
 )
-from .graph import PLAYER0, PLAYER1, PROBABILISTIC, GameGraph, _assemble, build_game
+from .graph import PLAYER0, PLAYER1, PROBABILISTIC, GameGraph, build_game
 from .objectives import Parity
 from .solve import almost_sure_solve, cooperative_region, zielonka_solve
 from .strategies import Strategy
@@ -85,27 +85,39 @@ class SynthesisGame:
         q, i = edge
         return f"({q},{self.choice_index(q, i)}) on {self.alphabet.format_input(i)}"
 
+    def _check_env_edges(self, edges: Iterable[EnvEdge]) -> None:
+        """Raise ``NotEnvEdge`` at the first edge not present in the game."""
+        for edge in edges:
+            q, i = edge
+            if not (0 <= q < self.n_env and 0 <= i < self.alphabet.n_inputs):
+                raise NotEnvEdge(f"{edge} is not an environment edge of this game")
+            if self.choice_index(q, i) not in self.graph.succ[q]:
+                raise NotEnvEdge(
+                    f"environment edge {self.describe_edge(edge)} is not present in the game"
+                )
+
     def remove_env_edges(self, edges: Iterable[EnvEdge]) -> "SynthesisGame":
         """Copy of the game without the given environment edges.
 
         Pruning an unreachable environment state down to zero moves keeps
         its original edges instead (the game must stay non-blocking and the
         state is semantically invisible); emptying a reachable one raises
-        ``EnvDeadlocked``.
+        ``EnvDeadlocked``.  An edge that is not present raises ``NotEnvEdge``.
         """
         drop = set(edges)
         if not drop:
             return self
-        g = self.graph
-        succ = [list(ss) for ss in g.succ]
+        self._check_env_edges(drop)
+        gone = {self.choice_index(q, i) for q, i in drop}
+        succ = list(self.graph.succ)
         emptied = []
-        for q in range(self.n_env):
-            kept = [c for c in succ[q] if (q, self.choice_info(c)[1]) not in drop]
+        for q in sorted({q for q, _i in drop}):
+            kept = tuple([c for c in succ[q] if c not in gone])
             if kept:
                 succ[q] = kept
             else:
                 emptied.append(q)
-        new_graph = replace(g, succ=tuple(map(tuple, succ)))
+        new_graph = replace(self.graph, succ=tuple(succ))
         if emptied:
             reachable = _reachable(new_graph)
             hit = [q for q in emptied if q in reachable]
@@ -246,32 +258,26 @@ def apply_fairness(sg: SynthesisGame, fair: Iterable[EnvEdge]) -> FairGame:
     g = sg.graph
     if not fair:
         return FairGame(g, sg.parity, sg, {})
-    present = set(sg.env_edges())
-    for edge in fair:
-        if edge not in present:
-            q, i = edge
-            if not (0 <= q < sg.n_env) or not (0 <= i < sg.alphabet.n_inputs):
-                raise NotEnvEdge(f"{edge} is not an environment edge of this game")
-            raise NotEnvEdge(
-                f"environment edge {sg.describe_edge(edge)} is not present in the game"
-            )
+    sg._check_env_edges(fair)
     by_state: dict[int, list[int]] = {}
     for q, i in fair:
         by_state.setdefault(q, []).append(i)
-    wrapped = {q: g.n + k for k, q in enumerate(sorted(by_state))}
+    wrapped = {q: g.n + k for k, q in enumerate(by_state)}
     wrapper_of = {idx: q for q, idx in wrapped.items()}
 
-    states = []
+    succ = [
+        ss if wrapped.keys().isdisjoint(ss) else tuple([wrapped.get(t, t) for t in ss])
+        for ss in g.succ
+    ]
+    labels = list(g.labels or (None,) * g.n)
     prios = list(sg.parity.priorities)
-    for s in range(g.n):
-        targets = [wrapped.get(t, t) for t in g.succ[s]]
-        states.append((g.owners[s], targets, g.label(s)))
-    for q in sorted(by_state):
-        targets = [q] + [sg.choice_index(q, i) for i in sorted(by_state[q])]
-        states.append((PROBABILISTIC, targets, f"fair({g.label(q) or q})"))
+    for q, inputs in by_state.items():
+        succ.append((q, *(sg.choice_index(q, i) for i in inputs)))
+        labels.append(f"fair({g.label(q) or q})")
         prios.append(sg.parity.priorities[q])
+    owners = g.owners + (PROBABILISTIC,) * len(by_state)
     initial = wrapped.get(g.initial, g.initial)
-    graph = _assemble(states, initial)
+    graph = GameGraph(owners, tuple(succ), {}, tuple(labels), initial)
     return FairGame(graph, Parity(tuple(prios)), sg, wrapper_of)
 
 

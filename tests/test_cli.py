@@ -8,12 +8,13 @@ import pytest
 
 from omegagames import _kernels
 from omegagames.cli import cli_main
+from omegagames.benchgen import SplitMix64
 from omegagames.errors import InvalidGame
 from omegagames.graph import PLAYER0, PLAYER1, PROBABILISTIC, build_game
-from omegagames.objectives import Parity
+from omegagames.objectives import Parity, Streett
 from omegagames.structio import game_to_document, write_structure
 
-from .conftest import DATA, child_env
+from .conftest import DATA, child_env, sample_game, sample_pairs
 
 NOT_UTF8 = b'<?xml version="1.0"?>\n<structure \xe2\x28 />\n'
 
@@ -172,6 +173,18 @@ def test_convert_pgsolver_round_trip(workdir, capsys):
     assert "{2, 3" in out
 
 
+def test_reduce_of_pgsolver_game_starts_at_state_0(workdir, capsys):
+    """PGSolver files carry no initial state; reduce gives the written
+    document state 0, as convert does."""
+    from omegagames import structio
+
+    (workdir / "one.gm").write_text("parity 0;\n0 1 0 0;\n", encoding="utf-8")
+    assert cli_main(["reduce", "one.gm", "-o", "one.xml"]) == 0
+    doc = structio.parse_structure((workdir / "one.xml").read_text(encoding="utf-8"))
+    game, _ = structio.document_to_game(doc)
+    assert game.initial == 0
+
+
 def test_convert_of_invalid_pgsolver_game_is_input_error(workdir, capsys):
     """An invalid game is refused where it is read: convert does not write
     a file that solve would then refuse."""
@@ -187,6 +200,39 @@ def test_weight_count_must_match_edge_count():
         with pytest.raises(InvalidGame) as err:
             build_game([(PROBABILISTIC, [0, 1]), (PLAYER0, [0])], weights={0: weights})
         assert [(v.rule, v.state) for v in err.value.diagnostics] == [("support-mismatch", 0)]
+
+
+def write_streett_games(directory):
+    """Two small seeded Streett games: a 2-player one, whose reduction is
+    the record product alone, and one with probabilistic states, whose
+    reduction is the record product followed by the gadget."""
+    for name, owners in (
+        ("streett2.xml", (PLAYER0, PLAYER1)),
+        ("streett3.xml", (PLAYER0, PLAYER1, PROBABILISTIC)),
+    ):
+        rng = SplitMix64(29)
+        g = sample_game(rng, max_states=4, owners=owners)
+        doc = game_to_document(g, Streett(sample_pairs(rng, g.n)))
+        (directory / name).write_text(write_structure(doc), encoding="utf-8")
+
+
+GOLDENS = [
+    (["reduce", "sample_game.xml"], "sample_game_reduced.xml"),
+    (["reduce", "streett2.xml"], "streett2_reduced.xml"),
+    (["reduce", "streett3.xml"], "streett3_reduced.xml"),
+    (["synth", "assumption", "request_grant.xml"], "request_grant_assumption.xml"),
+    (["synth", "transducer", "repeated_grant.xml"], "repeated_grant_transducer.txt"),
+    (["synth", "transducer", "request_grant.xml"], "request_grant_transducer.txt"),
+]
+
+
+@pytest.mark.parametrize("argv, golden", GOLDENS)
+def test_output_matches_golden(argv, golden, workdir, capsys):
+    """Derived games (the gadget, the record product, the fairness-wrapped
+    synthesis game) keep their state order, edges and labels byte for byte."""
+    write_streett_games(workdir)
+    assert cli_main([*argv, "-o", "out"]) == 0
+    assert (workdir / "out").read_bytes() == (DATA / golden).read_bytes()
 
 
 def test_synth_assumption_matches_stored_automaton(workdir, capsys):

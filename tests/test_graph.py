@@ -202,7 +202,20 @@ def test_derived_games_are_valid_by_construction():
             derived.append(sg.remove_env_edges(drop).graph)
         except EnvDeadlocked:
             pass
-        for d in derived:
+        # built from columns: one label per state even from a source built
+        # with labels=(), and the gadget shares the rows it leaves unchanged
+        bare = GameGraph(g.owners, g.succ, g.given_weights, (), g.initial)
+        from_bare = [lar_reduce(bare, Streett(pairs)).game]
+        if not g.is_two_player:
+            gadget = reduce_stochastic_parity(bare, par).game
+            assert all(gadget.succ[s] is g.succ[s] for s in range(g.n) if g.owners[s] != PROBABILISTIC)
+            from_bare.append(gadget)
+        if region.states:
+            from_bare.append(subgame(bare, region.states)[0])
+        for d in from_bare:
+            assert len(d.labels) == d.n
+            assert [d.label(s) for s in range(d.n)] == [None] * d.n
+        for d in derived + from_bare:
             assert validate_game(d) == [], case
 
 

@@ -189,6 +189,22 @@ def test_apply_fairness_rejects_foreign_edges(repeated_grant):
         apply_fairness(repeated_grant, {(0, 9)})
 
 
+def test_safety_and_fair_edges_share_one_edge_check(request_grant):
+    """An edge out of range, or one the safety removal already took, is
+    refused as a safety edge just as it is as a fair edge."""
+    asm, safe = compute_safety_assumption(request_grant)
+    (gone,) = asm.safety_edges
+    cases = [
+        (request_grant, (99, 0), "not an environment edge"),
+        (request_grant, (0, 99), "not an environment edge"),
+        (safe, gone, "not present"),
+    ]
+    for sg, edge, message in cases:
+        for bad in (Assumption({edge}, frozenset()), Assumption(frozenset(), {edge})):
+            with pytest.raises(NotEnvEdge, match=message):
+                check_sufficiency(sg, bad)
+
+
 def test_apply_fairness_single_env_state_all_edges():
     alpha = PropAlphabet(inputs=("a",), outputs=("b",))
     table = {(0, letter): 0 for letter in range(alpha.n_letters)}
