@@ -13,7 +13,7 @@ from omegagames.errors import (
     UnknownProp,
 )
 from omegagames.graph import PLAYER0, PLAYER1, PROBABILISTIC, build_game, validate_game
-from omegagames.objectives import Parity, Rabin, Streett
+from omegagames.objectives import Parity, Rabin, Streett, buchi_parity
 from omegagames.structio import (
     PropDecl,
     StateDecl,
@@ -150,15 +150,16 @@ def test_game_round_trip_with_probabilistic_state():
 
 
 def test_round_trip_all_acceptance_types():
+    """Every acceptance type survives write/parse, and the parsed document
+    decodes to the objective that was written."""
     rng = SplitMix64(0x10F11E)
     for trial in range(50):
         g = sample_game(rng)
         kind = trial % 4
-        if kind == 0:
-            obj = sample_parity(rng, g.n)
-        elif kind == 1:
+        if kind == 1:
             # buchi documents: write by hand via structure_document
             acc = tuple(s for s in range(g.n) if rng.below(2))
+            obj = buchi_parity(acc, g.n)
             doc = structure_document(
                 "game",
                 (),
@@ -173,18 +174,18 @@ def test_round_trip_all_acceptance_types():
                 "buchi",
                 [acc],
             )
-            text = write_structure(doc)
-            assert parse_structure(text) == doc
-            assert write_structure(parse_structure(text)) == text
-            continue
-        elif kind == 2:
-            obj = Streett(sample_pairs(rng, g.n))
         else:
-            obj = Rabin(sample_pairs(rng, g.n))
-        doc = game_to_document(g, obj)
+            if kind == 0:
+                obj = sample_parity(rng, g.n)
+            elif kind == 2:
+                obj = Streett(sample_pairs(rng, g.n))
+            else:
+                obj = Rabin(sample_pairs(rng, g.n))
+            doc = game_to_document(g, obj)
         text = write_structure(doc)
         assert parse_structure(text) == doc
         assert write_structure(parse_structure(text)) == text
+        assert document_to_game(parse_structure(text))[1] == obj
 
 
 def test_parsed_games_validate():
