@@ -75,6 +75,24 @@ class PropAlphabet:
         return frozenset(lits)
 
 
+def delta_from_table(
+    alphabet: PropAlphabet, n: int, table: Mapping[tuple[int, int], int], complete: bool = False
+) -> tuple[tuple[int, ...], ...]:
+    """Rows ``delta[q][letter]`` of a (state, letter) -> state map over states
+    0..n-1.  A missing entry raises ``IncompleteAutomaton``, or with
+    ``complete`` set goes to a sink state n, whose row is appended."""
+    rows = [[table.get((q, a)) for a in range(alphabet.n_letters)] for q in range(n)]
+    missing = [(q, row.index(None)) for q, row in enumerate(rows) if None in row]
+    if missing and not complete:
+        q, letter = missing[0]
+        raise IncompleteAutomaton(
+            f"state {q} has no transition on {alphabet.format_letter(letter)}"
+        )
+    if missing:
+        rows.append([None] * alphabet.n_letters)
+    return tuple(tuple(n if t is None else t for t in row) for row in rows)
+
+
 def _run(fa, letters: Sequence[int], start: Optional[int]) -> int:
     """State of a deterministic automaton after reading ``letters``."""
     q = fa.initial if start is None else start
@@ -126,39 +144,23 @@ class DetParityAutomaton:
         complete: bool = False,
         labels: Optional[Sequence[Optional[str]]] = None,
     ) -> "DetParityAutomaton":
-        """Build from a (state, letter) -> state map.
+        """Build from a (state, letter) -> state map (see ``delta_from_table``).
 
-        Missing entries raise ``IncompleteAutomaton`` unless ``complete`` is
-        set, in which case they are routed to a rejecting sink of priority 1
-        (undefined behavior counts against the specification).
+        With ``complete`` set, missing entries go to a rejecting sink of
+        priority 1 (undefined behavior counts against the specification).
         """
-        missing = [
-            (q, letter)
-            for q in range(n)
-            for letter in range(alphabet.n_letters)
-            if (q, letter) not in table
-        ]
-        priorities = list(priorities)
-        labels = list(labels) if labels is not None else [None] * n
-        rows = [[table.get((q, letter)) for letter in range(alphabet.n_letters)] for q in range(n)]
-        if missing:
-            if not complete:
-                q, letter = missing[0]
-                raise IncompleteAutomaton(
-                    f"state {q} has no transition on {alphabet.format_letter(letter)}"
-                )
-            sink = n
-            rows.append([sink] * alphabet.n_letters)
-            priorities.append(1)
-            labels.append("reject-sink")
-            for q, letter in missing:
-                rows[q][letter] = sink
+        delta = delta_from_table(alphabet, n, table, complete)
+        priorities = tuple(priorities)
+        labels = tuple(labels) if labels is not None else (None,) * n
+        if len(delta) > n:
+            priorities += (1,)
+            labels += ("reject-sink",)
         return cls(
             alphabet=alphabet,
-            priorities=tuple(priorities),
+            priorities=priorities,
             initial=initial,
-            delta=tuple(tuple(row) for row in rows),
-            labels=tuple(labels),
+            delta=delta,
+            labels=labels,
         )
 
     def run(self, letters: Sequence[int], start: Optional[int] = None) -> int:

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 from . import _kernels
 from .errors import InvalidSpec
-from .graph import PROBABILISTIC, GameGraph
+from .graph import PLAYER0, PROBABILISTIC, GameGraph
 from .objectives import Parity
 from .solve import almost_sure_solve
 
@@ -124,12 +124,9 @@ class BenchRow:
     worst: float
 
 
-def run_benchmark(
-    specs: Iterable[BenchSpec],
-    player: int = 0,
-    out=None,
-) -> list[BenchRow]:
-    """Generate and solve ``repetitions`` games per spec, timing each solve.
+def run_benchmark(specs: Iterable[BenchSpec], out=None) -> list[BenchRow]:
+    """Generate ``repetitions`` games per spec and time each almost-sure
+    solve for player 0.
 
     Game r of a spec uses seed ``spec.seed + r``.  When ``out`` is given the
     table is printed there as it grows.
@@ -151,7 +148,7 @@ def run_benchmark(
                 )
             )
             start = time.perf_counter()
-            almost_sure_solve(game, parity, player)
+            almost_sure_solve(game, parity, PLAYER0)
             times.append(time.perf_counter() - start)
         row = BenchRow(
             spec.states, spec.edges, sum(times) / len(times), min(times), max(times)
@@ -182,14 +179,12 @@ def format_csv(rows: Sequence[BenchRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def compare_backends(
-    specs: Iterable[BenchSpec], player: int = 0, out=None
-) -> dict[str, list[BenchRow]]:
+def compare_backends(specs: Iterable[BenchSpec], out=None) -> dict[str, list[BenchRow]]:
     """Run the benchmark once per available kernel (compiled vs python)."""
     results = {}
     for name in _kernels.available():
         with _kernels.using(name):
-            results[name] = run_benchmark(specs, player=player)
+            results[name] = run_benchmark(specs)
     if out is not None:
         names = list(results)
         header = "{:>8} {:>8}".format("States", "Edges")

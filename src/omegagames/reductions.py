@@ -233,16 +233,15 @@ def pullback_strategy(
         raise ValueError("pullback expects a memoryless strategy on the reduced game")
     player = reduced_strategy.player
     source = res.source
-    if res.kind in ("identity", "gadget"):
-        choices = {}
-        for s in range(source.n):
-            if source.owners[s] != player:
-                continue  # announcement states are player 0's but not the player's
-            t = reduced_strategy.choice(s)
-            if t is not None:
-                choices[s] = t
-        out = Strategy.memoryless(player, choices)
-    elif res.kind == "lar":
+    if res.kind != "lar":
+        # announcement states are player 0's but not the player's
+        mem = reduced_strategy.memory_initial
+        out = Strategy.memoryless(player, {
+            s: t
+            for (m, s), t in reduced_strategy.choices.items()
+            if m == mem and s < source.n and source.owners[s] == player
+        })
+    else:
         origin = res.origin_map
         memory = res.memory_map
         choices = {}
@@ -265,8 +264,6 @@ def pullback_strategy(
             choices=choices,
             updates=updates,
         )
-    else:
-        raise ValueError(f"unknown reduction kind {res.kind!r}")
     if require is not None:
         covered = {state for _m, state in out.choices}
         missing = sorted(s for s in require if s not in covered)

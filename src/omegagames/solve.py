@@ -56,12 +56,7 @@ def zielonka_solve(g: GameGraph, obj: Parity) -> tuple[Region, Region, Strategy,
     s1 = Strategy.memoryless(
         PLAYER1, {s: ch1[s] for s in w1 if g.owners[s] == PLAYER1}
     )
-    return (
-        Region(w0, PLAYER0, "sure"),
-        Region(w1, PLAYER1, "sure"),
-        s0,
-        s1,
-    )
+    return Region(w0), Region(w1), s0, s1
 
 
 def cooperative_region(g: GameGraph, obj: Objective) -> Region:
@@ -77,7 +72,7 @@ def cooperative_region(g: GameGraph, obj: Objective) -> Region:
     if isinstance(obj, (Streett, Rabin)):
         lar = lar_reduce(g, obj)
         inner = cooperative_region(lar.game, lar.parity).states
-        return Region(lar.lift(inner), PLAYER0, "cooperative")
+        return Region(lar.lift(inner))
     _check_parity(g, obj)
     prio = obj.priorities
     targets = set()
@@ -87,13 +82,13 @@ def cooperative_region(g: GameGraph, obj: Objective) -> Region:
             if comp.nontrivial and any(prio[s] == e for s in comp.states):
                 targets.update(comp.states)
     if not targets:
-        return Region(frozenset(), PLAYER0, "cooperative")
+        return Region(frozenset())
     flat = g.flat
     order, _ = _kernels.active().attract(
         flat.n, flat.owners, flat.succ_ptr, flat.pred_ptr, flat.pred,
         sorted(targets), (True, True, True),
     )
-    return Region(frozenset(order), PLAYER0, "cooperative")
+    return Region(frozenset(order))
 
 
 def _chain_verdicts(n, succ, obj: Objective) -> list[bool]:
@@ -185,13 +180,11 @@ def oracle_solve(
                 if not ok:
                     break
             winning.update(ok)
-        return Region(frozenset(winning), player, "almost-sure")
+        return Region(frozenset(winning))
     if isinstance(rel_obj, Rabin):
-        return Region(_oracle_rabin_side(g, player, rel_obj), player, "almost-sure")
+        return Region(_oracle_rabin_side(g, player, rel_obj))
     positive = _oracle_positive_rabin(g, 1 - player, complement(rel_obj))
-    return Region(
-        frozenset(range(g.n)) - positive, player, "almost-sure"
-    )
+    return Region(frozenset(range(g.n)) - positive)
 
 
 def _forced_succ(g, fixed):
@@ -340,7 +333,7 @@ def almost_sure_solve(g: GameGraph, obj: Objective, player: int) -> tuple[Region
         lar = lar_reduce(g, obj)
         inner_region, inner_strategy = almost_sure_solve(lar.game, lar.parity, player)
         strategy = pullback_strategy(lar, inner_strategy)
-        return Region(lar.lift(inner_region.states), player, "almost-sure"), strategy
+        return Region(lar.lift(inner_region.states)), strategy
     _check_parity(g, obj)
     if player == PLAYER1:
         g, obj = dual_game(g, obj)
@@ -352,4 +345,4 @@ def almost_sure_solve(g: GameGraph, obj: Objective, player: int) -> tuple[Region
     if red.kind == "gadget":
         required = [s for s in region if g.owners[s] == PLAYER0]
         strategy = pullback_strategy(red, strategy, require=required)
-    return Region(region, player, "almost-sure"), dataclasses.replace(strategy, player=player)
+    return Region(region), dataclasses.replace(strategy, player=player)

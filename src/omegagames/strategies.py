@@ -68,11 +68,10 @@ class Strategy:
 
 @dataclass(frozen=True)
 class Region:
-    """A set of states claimed winning for a player under a given mode."""
+    """A set of winning states.  The player and the mode (sure, almost-sure
+    or cooperative) are those of the call that returned it."""
 
     states: frozenset[int]
-    player: int
-    mode: str  # "sure" | "almost-sure" | "cooperative"
 
     def __contains__(self, s: int) -> bool:
         return s in self.states

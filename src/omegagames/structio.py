@@ -3,8 +3,10 @@
 The reader/writer pair is bit-faithful: ``write_structure`` emits a
 canonical form (states by sid, transitions by tid, 2-space indentation)
 and ``parse_structure(write_structure(doc))`` reproduces the document
-exactly.  Parity acceptance sets are ordered by priority value; Rabin and
-Streett sets pair an E (request / infinitely-often) block with an F block.
+exactly.  One codec maps objectives to accSets and back, for games and
+automata alike: parity acceptance sets are ordered by priority value,
+Rabin and Streett sets pair an E (request / infinitely-often) block with
+an F block, and Buchi sets are read as two-priority parity.
 Probabilistic game states carry player tag -1 and, since the format has no
 weights, get uniform distributions on parse; qualitative answers do not
 depend on the weights.  A game document is validated once, by
@@ -17,13 +19,13 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
+from xml.parsers.expat import ErrorString
 from xml.sax.saxutils import escape
 
-from .automata import DetParityAutomaton, PropAlphabet, StreettAutomaton
+from .automata import DetParityAutomaton, PropAlphabet, StreettAutomaton, delta_from_table
 from .errors import (
     DuplicateProp,
     FileAccessError,
-    IncompleteAutomaton,
     LabelSyntaxError,
     SchemaError,
     StructureSyntaxError,
@@ -266,7 +268,7 @@ def parse_structure(text: Union[str, bytes]) -> StructureDocument:
         root = ET.fromstring(text)
     except ET.ParseError as exc:
         line, column = exc.position
-        raise StructureSyntaxError(str(exc.msg if hasattr(exc, "msg") else exc), line, column) from None
+        raise StructureSyntaxError(ErrorString(exc.code), line, column) from None
     except UnicodeEncodeError as exc:  # a str holding a lone surrogate
         raise StructureSyntaxError(f"not encodable as UTF-8: {exc.reason}") from None
     if root.tag != "structure":
@@ -412,9 +414,37 @@ def write_structure(doc: StructureDocument) -> str:
 # conversions between documents and in-memory objects
 
 
-def game_to_document(
-    g: GameGraph, obj: Objective, props: Sequence[PropDecl] = ()
-) -> StructureDocument:
+def _encode_objective(obj: Objective, n: int) -> tuple[str, list]:
+    """Acceptance type and accSets of an objective over states 0..n-1:
+    one plain set per parity value, one (E, F) block per pair."""
+    if isinstance(obj, Parity):
+        acc_sets = [
+            tuple(s for s in range(n) if obj.priorities[s] == k)
+            for k in range(obj.max_priority + 1)
+        ]
+        return "parity", acc_sets
+    if isinstance(obj, (Streett, Rabin)):
+        acc_sets = [(tuple(sorted(q)), tuple(sorted(r))) for q, r in obj.pairs]
+        return ("streett" if isinstance(obj, Streett) else "rabin"), acc_sets
+    raise TypeError(f"cannot serialize objective {obj!r}")
+
+
+def _decode_objective(doc: StructureDocument, rank: dict[int, int]) -> Objective:
+    """Objective of a document's accSets, states renumbered by ``rank``;
+    Buchi acceptance becomes the two-priority parity encoding."""
+    if doc.acc_type == "parity":
+        prio = [0] * len(rank)
+        for k, acc in enumerate(doc.acc_sets):
+            for sid in acc:
+                prio[rank[sid]] = k
+        return Parity(tuple(prio))
+    if doc.acc_type == "buchi":
+        return buchi_parity({rank[sid] for sid in doc.acc_sets[0]}, len(rank))
+    pairs = [({rank[s] for s in e}, {rank[s] for s in f}) for e, f in doc.acc_sets]
+    return Streett(pairs) if doc.acc_type == "streett" else Rabin(pairs)
+
+
+def game_to_document(g: GameGraph, obj: Objective) -> StructureDocument:
     """Serialize a game with its objective.
 
     Weights are not part of the format: probabilistic states round-trip
@@ -431,22 +461,9 @@ def game_to_document(
         for t in g.succ[s]:
             transitions.append(TransitionDecl(tid, s, t, None))
             tid += 1
-    if isinstance(obj, Parity):
-        acc_type = "parity"
-        acc_sets = [
-            tuple(s for s in range(g.n) if obj.priorities[s] == k)
-            for k in range(obj.max_priority + 1)
-        ]
-    elif isinstance(obj, Streett):
-        acc_type = "streett"
-        acc_sets = [(tuple(sorted(q)), tuple(sorted(r))) for q, r in obj.pairs]
-    elif isinstance(obj, Rabin):
-        acc_type = "rabin"
-        acc_sets = [(tuple(sorted(q)), tuple(sorted(r))) for q, r in obj.pairs]
-    else:
-        raise TypeError(f"cannot serialize objective {obj!r}")
+    acc_type, acc_sets = _encode_objective(obj, g.n)
     return structure_document(
-        "game", props, states, transitions, [g.initial], acc_type, acc_sets
+        "game", (), states, transitions, [g.initial], acc_type, acc_sets
     )
 
 
@@ -467,20 +484,7 @@ def document_to_game(doc: StructureDocument) -> tuple[GameGraph, Objective]:
         (s.player, succ[k], s.label) for k, s in enumerate(doc.states)
     ]
     game = build_game(states, initial=rank[doc.initial[0]])
-    n = game.n
-    if doc.acc_type == "parity":
-        prio = [0] * n
-        for k, acc in enumerate(doc.acc_sets):
-            for sid in acc:
-                prio[rank[sid]] = k
-        obj: Objective = Parity(tuple(prio))
-    elif doc.acc_type == "buchi":
-        obj = buchi_parity({rank[sid] for sid in doc.acc_sets[0]}, n)
-    elif doc.acc_type == "streett":
-        obj = Streett([({rank[s] for s in e}, {rank[s] for s in f}) for e, f in doc.acc_sets])
-    else:
-        obj = Rabin([({rank[s] for s in e}, {rank[s] for s in f}) for e, f in doc.acc_sets])
-    return game, obj
+    return game, _decode_objective(doc, rank)
 
 
 def _alphabet_of(doc: StructureDocument) -> PropAlphabet:
@@ -526,9 +530,9 @@ def _fa_table(doc: StructureDocument, acc_type: str):
     return alpha, rank, table
 
 
-def _fa_document(aut, acc_type: str, acc_sets) -> StructureDocument:
-    """fa document of a complete deterministic automaton: one transition
-    per (state, full letter), numbered in that order."""
+def _fa_document(aut, obj: Objective) -> StructureDocument:
+    """fa document of a complete deterministic automaton with acceptance
+    ``obj``: one transition per (state, full letter), numbered in that order."""
     alpha = aut.alphabet
     props = [PropDecl(p, "input") for p in alpha.inputs] + [
         PropDecl(p, "output") for p in alpha.outputs
@@ -542,6 +546,7 @@ def _fa_document(aut, acc_type: str, acc_sets) -> StructureDocument:
         for q in range(aut.n)
         for letter, read in enumerate(reads)
     ]
+    acc_type, acc_sets = _encode_objective(obj, aut.n)
     return structure_document(
         "fa", props, states, transitions, [aut.initial], acc_type, acc_sets
     )
@@ -552,53 +557,30 @@ def dpa_from_document(doc: StructureDocument, complete: bool = False) -> DetPari
     no transition covers raises ``IncompleteAutomaton`` unless ``complete``
     adds the rejecting sink."""
     alpha, rank, table = _fa_table(doc, "parity")
-    n = len(doc.states)
-    prio = [0] * n
-    for k, acc in enumerate(doc.acc_sets):
-        for sid in acc:
-            prio[rank[sid]] = k
+    prio = _decode_objective(doc, rank).priorities
     labels = tuple(s.label for s in doc.states)
     return DetParityAutomaton.from_table(
-        alpha, n, rank[doc.initial[0]], prio, table, complete=complete, labels=labels
+        alpha, len(rank), rank[doc.initial[0]], prio, table, complete=complete, labels=labels
     )
 
 
 def dpa_to_document(aut: DetParityAutomaton) -> StructureDocument:
-    acc_sets = [
-        tuple(q for q in range(aut.n) if aut.priorities[q] == k)
-        for k in range(max(aut.priorities) + 1)
-    ]
-    return _fa_document(aut, "parity", acc_sets)
+    return _fa_document(aut, Parity(aut.priorities))
 
 
 def streett_automaton_from_document(doc: StructureDocument) -> StreettAutomaton:
     """Deterministic, complete Streett automaton from an fa document."""
     alpha, rank, table = _fa_table(doc, "streett")
-    n = len(doc.states)
-    rows = []
-    for q in range(n):
-        row = []
-        for letter in range(alpha.n_letters):
-            if (q, letter) not in table:
-                raise IncompleteAutomaton(
-                    f"state {q} has no transition on {alpha.format_letter(letter)}"
-                )
-            row.append(table[(q, letter)])
-        rows.append(tuple(row))
-    pairs = tuple(
-        (frozenset(rank[s] for s in e), frozenset(rank[s] for s in f))
-        for e, f in doc.acc_sets
-    )
+    n = len(rank)
     return StreettAutomaton(
         alphabet=alpha,
         n=n,
         initial=rank[doc.initial[0]],
-        delta=tuple(rows),
-        pairs=pairs,
+        delta=delta_from_table(alpha, n, table),
+        pairs=_decode_objective(doc, rank).pairs,
         labels=tuple(s.label for s in doc.states),
     )
 
 
 def streett_automaton_to_document(sa: StreettAutomaton) -> StructureDocument:
-    acc_sets = [(tuple(sorted(q)), tuple(sorted(r))) for q, r in sa.pairs]
-    return _fa_document(sa, "streett", acc_sets)
+    return _fa_document(sa, Streett(sa.pairs))

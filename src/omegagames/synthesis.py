@@ -51,19 +51,16 @@ class SynthesisGame:
     def alphabet(self) -> PropAlphabet:
         return self.automaton.alphabet
 
-    @property
+    @cached_property
     def n_env(self) -> int:
         return self.automaton.n
 
+    @cached_property
+    def n_inputs(self) -> int:
+        return self.alphabet.n_inputs
+
     def choice_index(self, q: int, i: int) -> int:
-        return self.n_env + q * self.alphabet.n_inputs + i
-
-    def choice_info(self, c: int) -> tuple[int, int]:
-        q, i = divmod(c - self.n_env, self.alphabet.n_inputs)
-        return q, i
-
-    def env_successor(self, q: int, i: int, o: int) -> int:
-        return self.automaton.step(q, i, o)
+        return self.n_env + q * self.n_inputs + i
 
     def outputs_to(self, q: int, i: int, target: int) -> tuple[int, ...]:
         """Output letters moving the automaton from q to ``target`` under i."""
@@ -75,11 +72,11 @@ class SynthesisGame:
 
     def env_edges(self) -> list[EnvEdge]:
         """Environment edges present in the (possibly pruned) game."""
-        out = []
-        for q in range(self.n_env):
-            for c in self.graph.succ[q]:
-                out.append((q, self.choice_info(c)[1]))
-        return out
+        return [
+            (q, (c - self.n_env) % self.n_inputs)
+            for q in range(self.n_env)
+            for c in self.graph.succ[q]
+        ]
 
     def describe_edge(self, edge: EnvEdge) -> str:
         q, i = edge
@@ -89,7 +86,7 @@ class SynthesisGame:
         """Raise ``NotEnvEdge`` at the first edge not present in the game."""
         for edge in edges:
             q, i = edge
-            if not (0 <= q < self.n_env and 0 <= i < self.alphabet.n_inputs):
+            if not (0 <= q < self.n_env and 0 <= i < self.n_inputs):
                 raise NotEnvEdge(f"{edge} is not an environment edge of this game")
             if self.choice_index(q, i) not in self.graph.succ[q]:
                 raise NotEnvEdge(
@@ -360,7 +357,7 @@ def assumption_to_streett_automaton(sg: SynthesisGame, asm: Assumption) -> Stree
                 if edge in safety:
                     row.append(intern(("rej",)))
                     continue
-                q2 = sg.env_successor(q, i, o)
+                q2 = sg.automaton.step(q, i, o)
                 if q2 not in coop:
                     row.append(intern(("acc",)))
                 elif edge in asm.fair_edges:
@@ -524,7 +521,7 @@ def extract_transducer(
                 # input the assumption forbids (or a don't-care successor of
                 # one): answer with the least output letter
                 o = 0
-                key = (sg.env_successor(q, i, o), m_c, False)
+                key = (sg.automaton.step(q, i, o), m_c, False)
             if key not in index:
                 index[key] = len(order)
                 order.append(key)

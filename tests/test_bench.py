@@ -2,6 +2,8 @@
 import importlib
 import importlib.util
 import io
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,6 +20,10 @@ from omegagames.benchgen import (
 from omegagames.errors import InvalidSpec
 from omegagames.graph import PROBABILISTIC, validate_game
 from omegagames.structio import game_to_document, write_structure
+
+from .conftest import child_env
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_splitmix_reference_values():
@@ -169,9 +175,24 @@ def test_reduction_region_identity_on_benchmark_games():
 def test_perfbench_span_targets_resolve():
     """The traced benchmark run wraps these functions by name, so renaming
     one must fail here instead of silently dropping its span."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    path = ROOT / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
     for module_name, attr, _name in spans.TARGETS:
         assert hasattr(importlib.import_module(module_name), attr), f"{module_name}.{attr}"
+
+
+def test_perfbench_certifier_tests_pass():
+    """The benchmark's certificate checkers accept the program's regions and
+    strategies.  The file pins ``OMEGAGAMES_BACKEND`` on import, so it runs
+    in its own process."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "perfbench/test_certify.py"],
+        cwd=ROOT,
+        env=child_env(PYTHONDONTWRITEBYTECODE="1"),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]

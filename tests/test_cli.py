@@ -121,6 +121,12 @@ def test_priority_beyond_the_kernels_is_input_error(kernel_name, tmp_path, capsy
         assert err.startswith("error: ") and str(2**31 - 1) in err
 
 
+def test_xml_syntax_error_names_its_position_once(workdir, capsys):
+    (workdir / "one.gm").write_text("parity 0;\n0 1 0 0;", encoding="utf-8")
+    assert cli_main(["synth", "check", "one.gm"]) == 2
+    assert capsys.readouterr().err == "error: line 1, column 0: syntax error\n"
+
+
 def test_synth_check_unrealizable(workdir, capsys):
     assert cli_main(["synth", "check", "repeated_grant.xml"]) == 1
     assert "unrealizable" in capsys.readouterr().out

@@ -90,9 +90,17 @@ def test_empty_state_set_is_schema_error():
 
 
 def test_xml_syntax_error_carries_position():
-    with pytest.raises(StructureSyntaxError) as err:
-        parse_structure("<structure type='game'>\n  <oops\n</structure>")
-    assert err.value.line is not None
+    """The position is reported once, however the XML is broken."""
+    for text, position in (
+        ("<structure type='game'>\n  <oops\n</structure>", "line 3, column 0"),
+        ("parity 0;\n0 1 0 0;\n", "line 1, column 0"),
+        ("<structure type='game'>\n  <stateSet>", "line 2, column 12"),
+    ):
+        with pytest.raises(StructureSyntaxError) as err:
+            parse_structure(text)
+        assert err.value.line is not None
+        assert str(err.value).startswith(position + ": ")
+        assert str(err.value).count("line") == 1
 
 
 def test_repeated_grant_automaton_file_parses():
@@ -268,11 +276,34 @@ def test_incomplete_dpa_document():
         doc.acc_type,
         doc.acc_sets,
     )
-    with pytest.raises(IncompleteAutomaton):
+    with pytest.raises(IncompleteAutomaton, match="^state 0 has no transition on "):
         dpa_from_document(pruned)
     completed = dpa_from_document(pruned, complete=True)
     assert completed.n == 4  # rejecting sink added
     assert completed.priorities[3] == 1
+    assert completed.labels[3] == "reject-sink"
+    assert completed.delta[3] == (3,) * completed.alphabet.n_letters
+    assert completed.delta[0][0] == 3
+
+
+def test_incomplete_streett_automaton_document():
+    from omegagames.synthesis import Assumption, assumption_to_streett_automaton, dpa_to_synthesis_game
+
+    sg = dpa_to_synthesis_game(repeated_grant_automaton())
+    sa = assumption_to_streett_automaton(sg, Assumption(frozenset(), frozenset({(0, 0)})))
+    doc = streett_automaton_to_document(sa)
+    pruned = structure_document(
+        doc.kind,
+        doc.props,
+        doc.states,
+        [t for t in doc.transitions if t.tid != 1],
+        doc.initial,
+        doc.acc_type,
+        doc.acc_sets,
+    )
+    letter = sa.alphabet.format_letter(1)
+    with pytest.raises(IncompleteAutomaton, match=f"^state 0 has no transition on {letter}$"):
+        streett_automaton_from_document(pruned)
 
 
 @settings(max_examples=40, deadline=None)
