@@ -304,6 +304,14 @@ def test_bench_table_shape(workdir, capsys):
     assert "states,edges,avg,best,worst" in out
 
 
+def test_bench_compare_times_both_kernels(compiled_kernel, monkeypatch, capsys):
+    monkeypatch.setattr(_kernels, "_core", compiled_kernel)
+    assert cli_main(["bench", "--states", "30", "--edges", "120", "--compare"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert "Avg.(compiled)" in header and "Avg.(python)" in header
+    assert len(rows) == 1
+
+
 @pytest.mark.parametrize(
     "option, value",
     [
