@@ -39,7 +39,6 @@ from .reductions import (
 from .solve import (
     almost_sure_solve,
     cooperative_region,
-    markov_chain_almost_sure,
     oracle_solve,
     zielonka_solve,
 )
@@ -103,7 +102,6 @@ __all__ = [
     "extract_transducer",
     "lar_reduce",
     "lift_lasso",
-    "markov_chain_almost_sure",
     "minimize_fairness",
     "oracle_solve",
     "pullback_strategy",

@@ -151,7 +151,7 @@ _REPAIR_STAGES = {
 
 
 def _help_text(kind: str) -> str:
-    rows = list(_HELP.get(kind, _GAME_HELP if kind in _GAME_KINDS else []))
+    rows = list(_HELP.get(kind, _GAME_HELP if kind in _GAME_KINDS else [("help", "this list")]))
     if kind == "SynthesisGame":
         rows = _GAME_HELP[:-1] + _SYNTH_HELP + [_GAME_HELP[-1]]
     lines = [f"actions for {kind}:"]

@@ -322,19 +322,15 @@ class Scc:
     nontrivial: bool
 
 
-def scc_decompose(g: GameGraph, mask: Optional[Sequence[bool]] = None) -> list[Scc]:
-    """Maximal SCCs in reverse topological order (successors first).
-
-    ``mask``, when given, restricts the decomposition to the induced
-    subgraph on the states where it is true.
-    """
+def scc_decompose(g: GameGraph) -> list[Scc]:
+    """Maximal SCCs of the game graph in reverse topological order
+    (successors first)."""
     succ = g.succ
-    enabled = [True] * g.n if mask is None else mask
     sccs = []
-    for comp in _tarjan(succ, enabled):
+    for comp in _tarjan(succ, [True] * g.n):
         comp.sort()
         comp_set = set(comp)
-        nontrivial = any(t in comp_set for s in comp for t in succ[s] if enabled[t])
+        nontrivial = any(t in comp_set for s in comp for t in succ[s])
         sccs.append(Scc(tuple(comp), nontrivial))
     return sccs
 

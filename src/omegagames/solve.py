@@ -1,5 +1,5 @@
 """Game solving: Zielonka for 2-player parity games, cooperative regions,
-Markov-chain acceptance, the almost-sure pipeline and the brute-force oracle.
+the almost-sure pipeline and the brute-force oracle.
 
 Player 1 is always handled through the dual game (owners swapped, parity
 complemented), so a single player-0 code path serves both players.
@@ -10,8 +10,8 @@ import dataclasses
 import itertools
 
 from . import _kernels
-from .errors import NotDeterministicGame, TooLarge
-from .graph import PLAYER0, PLAYER1, PROBABILISTIC, GameGraph, _tarjan, scc_decompose
+from .errors import NoPairs, NotDeterministicGame, TooLarge
+from .graph import PLAYER0, PLAYER1, GameGraph, _tarjan
 from .objectives import Objective, Parity, Rabin, Streett, complement
 from .reductions import dual_game, lar_reduce, pullback_strategy, reduce_stochastic_parity
 from .strategies import Region, Strategy
@@ -63,24 +63,30 @@ def cooperative_region(g: GameGraph, obj: Objective) -> Region:
     """States from which some path (players cooperating) satisfies the
     objective.
 
-    Rabin/Streett objectives go through the index-appearance-record
-    product.  For parity: reachability of a nontrivial SCC whose minimum
-    priority is witnessed even within the priority-restricted subgraph.
+    One SCC refinement serves every objective class (Emerson and Lei,
+    "Modalities for model checking", SCP 1987): a nontrivial SCC of the
+    alive states is accepted if none of its states is unanswered, else it
+    is decomposed again without them; Rabin pairs are refined one at a
+    time.  The region is every state that can reach an accepted one.
     """
     if not g.is_two_player:
         raise NotDeterministicGame("cooperative_region requires a game without probabilistic states")
-    if isinstance(obj, (Streett, Rabin)):
-        lar = lar_reduce(g, obj)
-        inner = cooperative_region(lar.game, lar.parity).states
-        return Region(lar.lift(inner))
-    _check_parity(g, obj)
-    prio = obj.priorities
+    if not isinstance(obj, (Streett, Rabin)):
+        _check_parity(g, obj)
+    elif not obj.pairs:
+        raise NoPairs("objective has no request/response pairs")
+    succ = g.succ
     targets = set()
-    for e in sorted({p for p in prio if p % 2 == 0}):
-        mask = [p >= e for p in prio]
-        for comp in scc_decompose(g, mask):
-            if comp.nontrivial and any(prio[s] == e for s in comp.states):
-                targets.update(comp.states)
+    for part in [Rabin([pair]) for pair in obj.pairs] if isinstance(obj, Rabin) else [obj]:
+        alive = [True] * g.n
+        while comps := _tarjan(succ, alive):
+            for comp in comps:
+                cyclic = len(comp) > 1 or comp[0] in succ[comp[0]]
+                drop = _unanswered(part, comp) if cyclic else comp
+                if not drop:
+                    targets.update(comp)
+                for s in drop or comp:
+                    alive[s] = False
     if not targets:
         return Region(frozenset())
     flat = g.flat
@@ -89,6 +95,20 @@ def cooperative_region(g: GameGraph, obj: Objective) -> Region:
         sorted(targets), (True, True, True),
     )
     return Region(frozenset(order))
+
+
+def _unanswered(obj: Objective, comp: list[int]) -> list[int]:
+    """The states of the strongly connected set ``comp`` that no accepted
+    path staying inside it visits infinitely often; none iff ``comp``
+    itself is accepted.  A Rabin objective holds exactly one pair here."""
+    if isinstance(obj, Parity):
+        least = min(obj.priorities[s] for s in comp)
+        return [s for s in comp if obj.priorities[s] == least] if least % 2 else []
+    inside = set(comp)
+    if isinstance(obj, Streett):
+        return [s for q, r in obj.pairs if r.isdisjoint(inside) for s in q & inside]
+    ((q, r),) = obj.pairs
+    return comp if q.isdisjoint(inside) else [s for s in comp if s in r]
 
 
 def _chain_verdicts(n, succ, obj: Objective) -> list[bool]:
@@ -123,16 +143,6 @@ def _chain_verdicts(n, succ, obj: Objective) -> list[bool]:
             # non-blocking game, so comp always has an internal edge here
             bad[ci] = not obj.accepts_inf(comp)
     return [not bad[comp_of[s]] for s in range(n)]
-
-
-def markov_chain_almost_sure(mc: GameGraph, obj: Objective, start: int) -> bool:
-    """Probability-1 satisfaction from ``start`` in a Markov chain.
-
-    Requires every state to be probabilistic; only the supports matter.
-    """
-    if any(o != PROBABILISTIC for o in mc.owners):
-        raise ValueError("markov_chain_almost_sure requires all states probabilistic")
-    return _chain_verdicts(mc.n, mc.succ, obj)[start]
 
 
 def oracle_solve(

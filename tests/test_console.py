@@ -104,6 +104,26 @@ def test_help_lists_actions():
     assert "winningRegion" in out and "toDeterministicGame" in out
 
 
+def test_help_on_every_result_kind(workdir):
+    shutil.copy(DATA / "repeated_grant.xml", workdir / "repeated_grant.xml")
+    state, _ = run_lines(
+        [
+            "$g = ParityGame readFile sample_game.xml",
+            "$sg = SynthesisGame readFile repeated_grant.xml",
+            "$Region = $g winningRegion 0",
+            "$Strategy = $g winningStrategy 0",
+            "$Bool = $sg realizable",
+            "$Assumption = $sg safetyAssumption",
+            "$Transducer = $sg transducer",
+            "$Text = $g help",
+        ]
+    )
+    for kind in ("Region", "Strategy", "Bool", "Assumption", "Transducer", "Text"):
+        assert state.bindings[f"${kind}"].kind == kind
+        _, out = eval_statement(state, f"${kind} help")
+        assert out.splitlines() == [f"actions for {kind}:", f"  {'help':28} this list"]
+
+
 def test_empty_statement_is_silent():
     state, out = eval_statement(ConsoleState(), "   ")
     assert out == ""

@@ -368,13 +368,9 @@ def test_scc_two_cycle():
 
 def test_scc_chain_reverse_topological():
     g = build_game([(PLAYER0, [1]), (PLAYER0, [2]), (PLAYER0, [2])])
-    comps = scc_decompose(g, mask=[True, True, False])
-    # with c masked out, a -> b -> (gone): two trivial components, b first
-    assert [c.states for c in comps] == [(1,), (0,)]
-    assert not any(c.nontrivial for c in comps)
-    full = scc_decompose(g)
-    assert [c.states for c in full] == [(2,), (1,), (0,)]
-    assert [c.nontrivial for c in full] == [True, False, False]
+    comps = scc_decompose(g)
+    assert [c.states for c in comps] == [(2,), (1,), (0,)]
+    assert [c.nontrivial for c in comps] == [True, False, False]
 
 
 @settings(max_examples=60, deadline=None)

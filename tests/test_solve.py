@@ -1,15 +1,17 @@
-"""Solvers: Zielonka, cooperative regions, chains, the almost-sure pipeline
-and its brute-force oracle."""
+"""Solvers: Zielonka, cooperative regions, the almost-sure pipeline and its
+brute-force oracle."""
 import pytest
 
+import omegagames.graph
+import omegagames.solve
+from omegagames import _kernels
 from omegagames.benchgen import SplitMix64
-from omegagames.errors import NotDeterministicGame, TooLarge
-from omegagames.graph import PLAYER0, PLAYER1, PROBABILISTIC, build_game, validate_game
+from omegagames.errors import NoPairs, NotDeterministicGame, TooLarge
+from omegagames.graph import PLAYER0, PLAYER1, PROBABILISTIC, _tarjan, build_game, validate_game
 from omegagames.objectives import Parity, Rabin, Streett, complement
 from omegagames.solve import (
     almost_sure_solve,
     cooperative_region,
-    markov_chain_almost_sure,
     oracle_solve,
     zielonka_solve,
 )
@@ -95,38 +97,68 @@ def test_cooperative_matches_lasso_enumeration(rng):
         assert region == expected
 
 
-def test_cooperative_rabin_streett_matches_end_components(rng):
-    """Rabin/Streett cooperative regions go through the product; reference:
-    the states that can reach a strongly connected set the objective
-    accepts."""
+def test_cooperative_matches_end_components(kernel_name, monkeypatch):
+    """Parity, Streett and Rabin cooperative regions come from one SCC
+    refinement, never from the record product; reference: the states that
+    can reach a strongly connected set the objective accepts."""
     from omegagames.solve import _can_reach, _end_components
 
-    for trial in range(60):
-        g = sample_game(rng, max_states=5, owners=(PLAYER0, PLAYER1))
-        pairs = sample_pairs(rng, g.n)
-        obj = Streett(pairs) if trial % 2 else Rabin(pairs)
-        good = set()
-        for comp in _end_components(g.n, g.succ, [True] * g.n):
-            if obj.accepts_inf(comp):
-                good |= comp
-        assert cooperative_region(g, obj).states == _can_reach(g.n, g.succ, good)
+    def no_product(*args):
+        raise AssertionError("cooperative_region built the record product")
+
+    monkeypatch.setattr(omegagames.solve, "lar_reduce", no_product)
+    rng = SplitMix64(0xC00B)
+    with _kernels.using(kernel_name):
+        for trial in range(300):
+            g = sample_game(rng, max_states=7, owners=(PLAYER0, PLAYER1))
+            if trial % 3 == 0:
+                obj = sample_parity(rng, g.n, priorities=5)
+            else:
+                pairs = sample_pairs(rng, g.n, max_pairs=3)
+                obj = Streett(pairs) if trial % 3 == 1 else Rabin(pairs)
+            good = set()
+            for comp in _end_components(g.n, g.succ, [True] * g.n):
+                if obj.accepts_inf(comp):
+                    good |= comp
+            assert cooperative_region(g, obj).states == _can_reach(g.n, g.succ, good)
+
+
+def test_cooperative_chain_takes_one_decomposition(kernel_name, monkeypatch):
+    """On the chain where state s has priority s, a self-loop and an edge
+    to s+1, one decomposition settles every SCC; a pass per even priority
+    would make 1,000."""
+    calls = []
+
+    def counted(succ, enabled):
+        calls.append(1)
+        return _tarjan(succ, enabled)
+
+    for module in (omegagames.graph, omegagames.solve):
+        monkeypatch.setattr(module, "_tarjan", counted)
+    n = 2000
+    g = build_game([(s % 2, [s, s + 1] if s + 1 < n else [s]) for s in range(n)])
+    with _kernels.using(kernel_name):
+        region = cooperative_region(g, Parity(tuple(range(n))))
+    assert region.states == frozenset(range(n - 1))
+    assert len(calls) <= 2
+
+
+@pytest.mark.parametrize("objective", [Streett, Rabin])
+def test_cooperative_without_pairs_is_refused(kernel_name, objective):
+    g = build_game([(PLAYER0, [0])])
+    with _kernels.using(kernel_name), pytest.raises(NoPairs):
+        cooperative_region(g, objective([]))
 
 
 def test_markov_chain_examples():
     even = build_game([(PROBABILISTIC, [0])])
-    assert markov_chain_almost_sure(even, Parity((0,)), 0) is True
+    assert 0 in almost_sure_solve(even, Parity((0,)), 0)[0]
     odd = build_game([(PROBABILISTIC, [0])])
-    assert markov_chain_almost_sure(odd, Parity((1,)), 0) is False
+    assert 0 not in almost_sure_solve(odd, Parity((1,)), 0)[0]
     fork = build_game(
         [(PROBABILISTIC, [1, 2]), (PROBABILISTIC, [1]), (PROBABILISTIC, [2])]
     )
-    assert markov_chain_almost_sure(fork, Parity((1, 0, 1)), 0) is False
-
-
-def test_markov_chain_rejects_owned_states():
-    g = build_game([(PLAYER0, [0])])
-    with pytest.raises(ValueError):
-        markov_chain_almost_sure(g, Parity((0,)), 0)
+    assert 0 not in almost_sure_solve(fork, Parity((1, 0, 1)), 0)[0]
 
 
 def test_oracle_trivial_and_bound():
