@@ -11,17 +11,20 @@ outside the package enters through it.  Games derived from a valid game
 (reductions, subgames, fairness wrappers) are valid by construction, so
 they are built without a second check: straight from owner, successor and
 label columns with the trusted ``GameGraph`` constructor, sharing their
-source's successor tuples for the states they leave unchanged.
+source's successor tuples for the states they leave unchanged.  Likewise
+``check_objective`` is the one check that an objective fits its game: the
+reductions, the PGSolver export and every solver but the oracle make it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence, get_args
 
 from . import _kernels
-from .errors import DeadEndCreated, InvalidGame, RandomSupportBroken
+from .errors import DeadEndCreated, InvalidGame, NoPairs, RandomSupportBroken
+from .objectives import Parity
 from .strategies import Strategy
 
 PLAYER0 = 0
@@ -246,14 +249,40 @@ def validate_game(g: GameGraph) -> list[Violation]:
     return out
 
 
+def _check_states(g: GameGraph, states: Iterable) -> list[int]:
+    """The distinct ``states``, sorted; raises ``ValueError`` for a non-state of ``g``."""
+    n, states = g.n, set(states)
+    for s in states:
+        if not (isinstance(s, int) and 0 <= s < n):
+            raise ValueError(f"{s!r} is not a state of the game (0..{n - 1})")
+    return sorted(states)
+
+
+def check_objective(g: GameGraph, obj, kinds) -> None:
+    """Raise unless ``obj`` is one of ``kinds`` (a class or a union) and fits
+    ``g``: ``TypeError`` for another class, ``NoPairs`` for Streett or Rabin
+    without pairs, ``ValueError`` for any other mismatch with ``g``."""
+    if not isinstance(obj, kinds):
+        names = " or ".join(k.__name__ for k in get_args(kinds) or (kinds,))
+        raise TypeError(f"{names} objective required, got {obj!r}")
+    if isinstance(obj, Parity):
+        if len(obj.priorities) != g.n:
+            raise ValueError(f"objective maps {len(obj.priorities)} states, game has {g.n}")
+        return
+    if not obj.pairs:
+        raise NoPairs("objective has no request/response pairs")
+    _check_states(g, frozenset().union(*(side for pair in obj.pairs for side in pair)))
+
+
 def subgame(g: GameGraph, keep: Iterable[int]) -> tuple[GameGraph, dict[int, int]]:
     """Induced game on ``keep``, plus the old-index -> new-index map.
 
-    Raises ``DeadEndCreated`` if a kept state loses all successors and
+    Raises ``ValueError`` if ``keep`` holds a non-state,
+    ``DeadEndCreated`` if a kept state loses all successors and
     ``RandomSupportBroken`` if a probabilistic state loses part of its
     support (probabilistic states must be kept with all their successors).
     """
-    kept = sorted(set(keep))
+    kept = _check_states(g, keep)
     index = {s: i for i, s in enumerate(kept)}
     succ = []
     for s in kept:
@@ -289,10 +318,7 @@ def attractor(
     """
     if player not in (PLAYER0, PLAYER1):
         raise ValueError(f"player must be 0 or 1, got {player}")
-    targets = sorted(set(target))
-    for t in targets:
-        if not (0 <= t < g.n):
-            raise ValueError(f"target state {t} out of range")
+    targets = _check_states(g, target)
     if not g.is_two_player and random_mode not in (EXISTENTIAL, UNIVERSAL):
         raise ValueError("random_mode is required for games with probabilistic states")
     exist = (

@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 
 from .errors import NotDeterministicGame, SchemaError, StructureSyntaxError, TypeMismatch
-from .graph import GameGraph, build_game
+from .graph import GameGraph, build_game, check_objective
 from .objectives import Parity
 from .reductions import even_ceiling
 
@@ -38,8 +38,7 @@ def export_pgsolver(g: GameGraph, obj: Parity) -> str:
             f"PGSolver export needs a parity objective, got a {obj}; "
             "turn the game into a parity game with `omegagames reduce` first"
         )
-    if len(obj.priorities) != g.n:
-        raise ValueError("objective does not match the game")
+    check_objective(g, obj, Parity)
     flipped, _ = flip_priorities(obj.priorities)
     lines = [f"parity {g.n - 1};"]
     for s in range(g.n):

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
-from .errors import NoPairs, UndefinedOnRegion
-from .graph import PLAYER0, PLAYER1, PROBABILISTIC, GameGraph
+from .errors import UndefinedOnRegion
+from .graph import PLAYER0, PLAYER1, PROBABILISTIC, GameGraph, check_objective
 from .objectives import Objective, Parity, Rabin, Streett, complement
 from .strategies import Strategy
 
@@ -40,8 +40,6 @@ class ReductionResult:
 
     def lift(self, states: Iterable[int]) -> frozenset[int]:
         """The original states whose copies are in ``states``."""
-        if self.game is self.source:
-            return frozenset(states)
         n = self.source.n
         return frozenset(s for s in states if s < n)
 
@@ -62,8 +60,7 @@ def reduce_stochastic_parity(g: GameGraph, obj: Parity) -> ReductionResult:
     announcement states reuse the index of the state they replace, so
     copies of original states are exactly the indices below ``g.n``.
     """
-    if len(obj.priorities) != g.n:
-        raise ValueError("objective does not match the game")
+    check_objective(g, obj, Parity)
     if g.is_two_player:
         return ReductionResult(g, g, obj)
     estar = even_ceiling(obj.max_priority)
@@ -109,10 +106,7 @@ def lar_reduce(g: GameGraph, obj: Streett | Rabin) -> ReductionResult:
     record *before* the visit, so there are at most n*k! of them; the
     distinguished copies (state, initial record) occupy indices 0..n-1.
     """
-    if not isinstance(obj, (Streett, Rabin)):
-        raise TypeError(f"Rabin or Streett objective required, got {obj!r}")
-    if not obj.pairs:
-        raise NoPairs("objective has no request/response pairs")
+    check_objective(g, obj, Streett | Rabin)
     npairs = len(obj.pairs)
     in_q: list[list[int]] = [[] for _ in range(g.n)]
     in_r: list[list[int]] = [[] for _ in range(g.n)]

@@ -10,23 +10,14 @@ import dataclasses
 import itertools
 
 from . import _kernels
-from .errors import NoPairs, NotDeterministicGame, TooLarge
-from .graph import PLAYER0, PLAYER1, GameGraph, _tarjan
+from .errors import NotDeterministicGame, TooLarge
+from .graph import PLAYER0, PLAYER1, GameGraph, _tarjan, check_objective
 from .objectives import Objective, Parity, Rabin, Streett, complement
 from .reductions import dual_game, lar_reduce, pullback_strategy, reduce_stochastic_parity
 from .strategies import Region, Strategy
 
 ORACLE_STATE_BOUND = 10
 KERNEL_PRIORITY_BOUND = 2**31 - 1  # the compiled kernel holds priorities in C ints
-
-
-def _check_parity(g: GameGraph, obj: Parity):
-    if not isinstance(obj, Parity):
-        raise TypeError(f"parity objective required, got {obj!r}")
-    if len(obj.priorities) != g.n:
-        raise ValueError(
-            f"objective maps {len(obj.priorities)} states, game has {g.n}"
-        )
 
 
 def zielonka_solve(g: GameGraph, obj: Parity) -> tuple[Region, Region, Strategy, Strategy]:
@@ -37,7 +28,7 @@ def zielonka_solve(g: GameGraph, obj: Parity) -> tuple[Region, Region, Strategy,
     """
     if not g.is_two_player:
         raise NotDeterministicGame("zielonka_solve requires a game without probabilistic states")
-    _check_parity(g, obj)
+    check_objective(g, obj, Parity)
     if obj.max_priority > KERNEL_PRIORITY_BOUND:
         raise TooLarge(
             f"priority {obj.max_priority} is above {KERNEL_PRIORITY_BOUND}, "
@@ -71,10 +62,7 @@ def cooperative_region(g: GameGraph, obj: Objective) -> Region:
     """
     if not g.is_two_player:
         raise NotDeterministicGame("cooperative_region requires a game without probabilistic states")
-    if not isinstance(obj, (Streett, Rabin)):
-        _check_parity(g, obj)
-    elif not obj.pairs:
-        raise NoPairs("objective has no request/response pairs")
+    check_objective(g, obj, Objective)
     succ = g.succ
     targets = set()
     for part in [Rabin([pair]) for pair in obj.pairs] if isinstance(obj, Rabin) else [obj]:
@@ -344,7 +332,7 @@ def almost_sure_solve(g: GameGraph, obj: Objective, player: int) -> tuple[Region
         inner_region, inner_strategy = almost_sure_solve(lar.game, lar.parity, player)
         strategy = pullback_strategy(lar, inner_strategy)
         return Region(lar.lift(inner_region.states)), strategy
-    _check_parity(g, obj)
+    check_objective(g, obj, Parity)
     if player == PLAYER1:
         g, obj = dual_game(g, obj)
     elif player != PLAYER0:

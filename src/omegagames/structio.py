@@ -233,17 +233,6 @@ def parse_label(
     return frozenset(literals.items())
 
 
-def format_label(literals: frozenset[tuple[str, bool]], props: Sequence[PropDecl]) -> str:
-    if not literals:
-        return "T"
-    by_name = dict(literals)
-    parts = []
-    for p in props:
-        if p.name in by_name:
-            parts.append(p.name if by_name[p.name] else f"¬{p.name}")
-    return " ∧ ".join(parts)
-
-
 # ---------------------------------------------------------------------------
 # XML reading
 
@@ -418,11 +407,10 @@ def _encode_objective(obj: Objective, n: int) -> tuple[str, list]:
     """Acceptance type and accSets of an objective over states 0..n-1:
     one plain set per parity value, one (E, F) block per pair."""
     if isinstance(obj, Parity):
-        acc_sets = [
-            tuple(s for s in range(n) if obj.priorities[s] == k)
-            for k in range(obj.max_priority + 1)
-        ]
-        return "parity", acc_sets
+        acc_sets = [[] for _ in range(obj.max_priority + 1)]
+        for s in range(n):
+            acc_sets[obj.priorities[s]].append(s)
+        return "parity", [tuple(acc) for acc in acc_sets]
     if isinstance(obj, (Streett, Rabin)):
         acc_sets = [(tuple(sorted(q)), tuple(sorted(r))) for q, r in obj.pairs]
         return ("streett" if isinstance(obj, Streett) else "rabin"), acc_sets
@@ -540,7 +528,7 @@ def _fa_document(aut, obj: Objective) -> StructureDocument:
     states = [
         StateDecl(q, None, aut.labels[q] if aut.labels else None) for q in range(aut.n)
     ]
-    reads = [format_label(alpha.literals(letter), props) for letter in range(alpha.n_letters)]
+    reads = [alpha.format_letter(letter) for letter in range(alpha.n_letters)]
     transitions = [
         TransitionDecl(q * alpha.n_letters + letter, q, aut.delta[q][letter], read)
         for q in range(aut.n)

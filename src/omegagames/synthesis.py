@@ -45,7 +45,6 @@ class SynthesisGame:
     graph: GameGraph
     parity: Parity
     automaton: DetParityAutomaton
-    neutral_priority: int
 
     @property
     def alphabet(self) -> PropAlphabet:
@@ -122,7 +121,7 @@ class SynthesisGame:
                 raise EnvDeadlocked(
                     f"safety removal leaves reachable environment states {hit} without moves"
                 )
-        return SynthesisGame(new_graph, self.parity, self.automaton, self.neutral_priority)
+        return SynthesisGame(new_graph, self.parity, self.automaton)
 
     @cached_property
     def repair(self) -> "Repair":
@@ -212,7 +211,7 @@ def dpa_to_synthesis_game(aut: DetParityAutomaton) -> SynthesisGame:
             states.append((PLAYER0, targets, f"(q{q},{alpha.format_input(i)})"))
             prios.append(neutral)
     graph = build_game(states, initial=aut.initial)
-    return SynthesisGame(graph, Parity(tuple(prios)), aut, neutral)
+    return SynthesisGame(graph, Parity(tuple(prios)), aut)
 
 
 def check_realizability(sg: SynthesisGame) -> tuple[bool, Optional[Strategy]]:

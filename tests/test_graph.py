@@ -136,6 +136,13 @@ def test_subgame_broken_support():
         subgame(g, {0, 1})
 
 
+@pytest.mark.parametrize("keep", [[0, 99], [1, 2], [-1], [1, -1], [1, "0"]])
+def test_subgame_rejects_non_states(keep):
+    g = build_game([(PLAYER0, [1]), (PLAYER0, [1])])
+    with pytest.raises(ValueError, match="is not a state of the game"):
+        subgame(g, keep)
+
+
 def test_subgame_keeps_weights():
     from fractions import Fraction
 

@@ -17,9 +17,9 @@ from omegagames import _kernels, structio
 from omegagames.console import ConsoleState, eval_statement
 from omegagames.errors import OmegagamesError
 from omegagames.graph import build_game
-from omegagames.objectives import Parity
+from omegagames.objectives import Parity, Rabin, Streett
 from omegagames.pgsolver import export_pgsolver, import_pgsolver
-from omegagames.solve import zielonka_solve
+from omegagames.solve import almost_sure_solve, cooperative_region, zielonka_solve
 from omegagames.synthesis import dpa_to_synthesis_game
 
 from .conftest import DATA
@@ -183,6 +183,39 @@ def test_pgsolver_round_trip_keeps_game_and_regions(kernels, game_and_parity):
     v0, v1, _, _ = _on_kernels(kernels, zielonka_solve, g2, par2)
     assert (w0.states, w1.states) == (v0.states, v1.states)
 
+
+
+@st.composite
+def _pair_game(draw):
+    """A small 2-player game with a Streett or Rabin objective whose pair
+    states are drawn from [-2, n+2], so some are not states of the game."""
+    n = draw(st.integers(1, 6))
+    succ = st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True)
+    game = build_game([(draw(st.integers(0, 1)), draw(succ)) for _ in range(n)])
+    side = st.frozensets(st.integers(-2, n + 2), max_size=3)
+    pairs = draw(st.lists(st.tuples(side, side), min_size=1, max_size=2))
+    return game, draw(st.sampled_from([Streett, Rabin]))(pairs)
+
+
+@FUZZ
+@given(_pair_game())
+@example((build_game([(0, [1]), (1, [1])]), Streett([({-1}, set())])))
+def test_pair_states_outside_the_game_are_refused_by_every_solver(kernels, game_and_objective):
+    """``almost_sure_solve`` for both players and ``cooperative_region``
+    answer exactly when every pair state is a state of the game, and raise
+    ``ValueError`` otherwise; any other error fails the test."""
+    g, obj = game_and_objective
+    fits = all(0 <= s < g.n for q, r in obj.pairs for s in q | r)
+    calls = [(almost_sure_solve, g, obj, 0), (almost_sure_solve, g, obj, 1), (cooperative_region, g, obj)]
+    for name in kernels:
+        with _kernels.using(name):
+            for fn, *args in calls:
+                try:
+                    fn(*args)
+                except ValueError:
+                    assert not fits
+                else:
+                    assert fits
 
 
 # Console statements run against one state with a game, a parity

@@ -6,9 +6,11 @@ import omegagames.graph
 import omegagames.solve
 from omegagames import _kernels
 from omegagames.benchgen import SplitMix64
-from omegagames.errors import NoPairs, NotDeterministicGame, TooLarge
+from omegagames.errors import NoPairs, NotDeterministicGame, TooLarge, TypeMismatch
 from omegagames.graph import PLAYER0, PLAYER1, PROBABILISTIC, _tarjan, build_game, validate_game
 from omegagames.objectives import Parity, Rabin, Streett, complement
+from omegagames.pgsolver import export_pgsolver
+from omegagames.reductions import lar_reduce, reduce_stochastic_parity, to_two_player_parity
 from omegagames.solve import (
     almost_sure_solve,
     cooperative_region,
@@ -148,6 +150,57 @@ def test_cooperative_without_pairs_is_refused(kernel_name, objective):
     g = build_game([(PLAYER0, [0])])
     with _kernels.using(kernel_name), pytest.raises(NoPairs):
         cooperative_region(g, objective([]))
+
+
+# Objectives that do not fit the 2-state game of ``_fit_game``, and the
+# error each entry raises for them, in this order.
+BAD_OBJECTIVES = {
+    "parity of the wrong length": Parity((0, 0, 0)),
+    "pair state n": Streett([({2}, set())]),
+    "pair state -1": Rabin([(set(), {-1})]),
+    "non-int pair state": Streett([({0}, {"1"})]),
+    "pairless": Rabin([]),
+    "None": None,
+}
+_PARITY_ONLY = [ValueError, TypeError, TypeError, TypeError, TypeError, TypeError]
+_ANY = [ValueError, ValueError, ValueError, ValueError, NoPairs, TypeError]
+OBJECTIVE_ENTRIES = {
+    "zielonka_solve": (zielonka_solve, _PARITY_ONLY),
+    "reduce_stochastic_parity": (reduce_stochastic_parity, _PARITY_ONLY),
+    "export_pgsolver": (export_pgsolver, [ValueError] + [TypeMismatch] * 5),
+    "lar_reduce": (lar_reduce, [TypeError, ValueError, ValueError, ValueError, NoPairs, TypeError]),
+    "cooperative_region": (cooperative_region, _ANY),
+    "almost_sure_solve player 0": (lambda g, obj: almost_sure_solve(g, obj, PLAYER0), _ANY),
+    "almost_sure_solve player 1": (lambda g, obj: almost_sure_solve(g, obj, PLAYER1), _ANY),
+    "to_two_player_parity": (to_two_player_parity, _ANY),
+}
+
+
+def _fit_game():
+    return build_game([(PLAYER0, [1]), (PLAYER1, [1])])
+
+
+@pytest.mark.parametrize("entry", OBJECTIVE_ENTRIES)
+@pytest.mark.parametrize("bad", BAD_OBJECTIVES)
+def test_every_entry_rejects_an_objective_that_does_not_fit(kernel_name, entry, bad):
+    fn, errors = OBJECTIVE_ENTRIES[entry]
+    error = errors[list(BAD_OBJECTIVES).index(bad)]
+    with _kernels.using(kernel_name), pytest.raises(error) as caught:
+        fn(_fit_game(), BAD_OBJECTIVES[bad])
+    assert type(caught.value) is error
+
+
+@pytest.mark.parametrize("player", [PLAYER0, PLAYER1])
+def test_negative_pair_state_is_not_read_from_the_end(kernel_name, player):
+    """State -1 used to be read as the last state, so the objective was
+    solved on the wrong pair instead of being refused."""
+    g = _fit_game()
+    streett = Streett([({-1}, set())])
+    with _kernels.using(kernel_name):
+        with pytest.raises(ValueError):
+            almost_sure_solve(g, streett, player)
+        with pytest.raises(ValueError):
+            cooperative_region(g, streett)
 
 
 def test_markov_chain_examples():

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from omegagames.automata import PropAlphabet
 from omegagames.benchgen import SplitMix64
 from omegagames.errors import (
     DuplicateProp,
@@ -21,7 +22,6 @@ from omegagames.structio import (
     document_to_game,
     dpa_from_document,
     dpa_to_document,
-    format_label,
     game_to_document,
     parse_label,
     parse_structure,
@@ -134,10 +134,12 @@ def test_label_grammar():
 
 
 def test_format_label_round_trip():
-    props = [PropDecl("a", "input"), PropDecl("b", "input"), PropDecl("g", "output")]
-    lits = frozenset({("a", True), ("b", False), ("g", True)})
-    assert parse_label(format_label(lits, props), props) == lits
-    assert format_label(frozenset(), props) == "T"
+    """Every letter's label, as fa documents write it, parses back to the letter."""
+    for inputs, outputs in [(("a", "b"), ("g",)), (("a",), ()), ((), ("g",)), ((), ())]:
+        alpha = PropAlphabet(inputs, outputs)
+        props = [PropDecl(p, "input") for p in inputs] + [PropDecl(p, "output") for p in outputs]
+        for letter in range(alpha.n_letters):
+            assert parse_label(alpha.format_letter(letter), props) == alpha.literals(letter)
 
 
 def test_game_round_trip_with_probabilistic_state():

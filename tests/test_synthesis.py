@@ -49,10 +49,11 @@ def test_split_shape(repeated_grant):
         assert len(repeated_grant.graph.succ[q]) == alpha.n_inputs
         assert repeated_grant.graph.owners[q] == PLAYER1
         assert repeated_grant.parity.priorities[q] == repeated_grant.automaton.priorities[q]
+    neutral = repeated_grant.parity.priorities[repeated_grant.n_env]
     for c in range(3, 9):
         assert repeated_grant.graph.owners[c] == PLAYER0
-        assert repeated_grant.parity.priorities[c] == repeated_grant.neutral_priority
-    assert repeated_grant.neutral_priority > max(repeated_grant.automaton.priorities)
+        assert repeated_grant.parity.priorities[c] == neutral
+    assert neutral > max(repeated_grant.automaton.priorities)
 
 
 def test_trivial_one_state_spec():
