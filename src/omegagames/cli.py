@@ -20,7 +20,7 @@ from .errors import (
     SpecUnsatisfiable,
 )
 from .pgsolver import export_pgsolver, import_pgsolver
-from .reductions import to_two_player_parity
+from .reductions import reduction_chain
 from .solve import almost_sure_solve, cooperative_region
 from .synthesis import check_realizability, dpa_to_synthesis_game
 
@@ -82,10 +82,10 @@ def _cmd_coop(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    game, parity = to_two_player_parity(*_load_game(args.file))
-    _emit(structio.write_structure(_game_document(game, parity)), args.output)
+    red = reduction_chain(*_load_game(args.file))[-1]
+    _emit(structio.write_structure(_game_document(red.game, red.parity)), args.output)
     print(
-        f"reduced to a 2-player parity game: {game.n} states, {game.edge_count} edges",
+        f"reduced to a 2-player parity game: {red.game.n} states, {red.game.edge_count} edges",
         file=sys.stderr,
     )
     return EXIT_OK

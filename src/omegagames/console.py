@@ -18,7 +18,7 @@ from . import structio
 from .errors import ConsoleParseError, TypeMismatch, UnboundVariable
 from .graph import GameGraph
 from .objectives import Parity, Rabin, Streett
-from .reductions import to_two_player_parity
+from .reductions import reduction_chain
 from .solve import almost_sure_solve, cooperative_region
 from .synthesis import SynthesisGame, check_realizability, check_sufficiency, dpa_to_synthesis_game
 
@@ -212,7 +212,8 @@ def _player_arg(args):
 
 
 def _to_deterministic(value: Value) -> Value:
-    return Value("ParityGame", to_two_player_parity(*_game_of(value)))
+    red = reduction_chain(*_game_of(value))[-1]
+    return Value("ParityGame", (red.game, red.parity))
 
 
 def _coop(value: Value):

@@ -38,10 +38,6 @@ class NotDeterministicGame(OmegagamesError):
     """A 2-player-only operation was applied to a game with probabilistic states."""
 
 
-class NoPairs(OmegagamesError):
-    """A Rabin/Streett operation was given an empty pair list."""
-
-
 class TooLarge(OmegagamesError):
     """An input exceeds a solver's bound: the enumeration oracle's state
     bound, or a priority the fixpoint kernels cannot hold (above 2**31 - 1)."""

@@ -13,7 +13,7 @@ they are built without a second check: straight from owner, successor and
 label columns with the trusted ``GameGraph`` constructor, sharing their
 source's successor tuples for the states they leave unchanged.  Likewise
 ``check_objective`` is the one check that an objective fits its game: the
-reductions, the PGSolver export and every solver but the oracle make it.
+reductions, both game exports and every solver but the oracle make it.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence, get_args
 
 from . import _kernels
-from .errors import DeadEndCreated, InvalidGame, NoPairs, RandomSupportBroken
+from .errors import DeadEndCreated, InvalidGame, RandomSupportBroken
 from .objectives import Parity
 from .strategies import Strategy
 
@@ -260,18 +260,15 @@ def _check_states(g: GameGraph, states: Iterable) -> list[int]:
 
 def check_objective(g: GameGraph, obj, kinds) -> None:
     """Raise unless ``obj`` is one of ``kinds`` (a class or a union) and fits
-    ``g``: ``TypeError`` for another class, ``NoPairs`` for Streett or Rabin
-    without pairs, ``ValueError`` for any other mismatch with ``g``."""
+    ``g``: ``TypeError`` for another class, ``ValueError`` for any other
+    mismatch with ``g``.  Streett/Rabin without pairs fit every game."""
     if not isinstance(obj, kinds):
         names = " or ".join(k.__name__ for k in get_args(kinds) or (kinds,))
         raise TypeError(f"{names} objective required, got {obj!r}")
-    if isinstance(obj, Parity):
-        if len(obj.priorities) != g.n:
-            raise ValueError(f"objective maps {len(obj.priorities)} states, game has {g.n}")
-        return
-    if not obj.pairs:
-        raise NoPairs("objective has no request/response pairs")
-    _check_states(g, frozenset().union(*(side for pair in obj.pairs for side in pair)))
+    if not isinstance(obj, Parity):
+        _check_states(g, frozenset().union(*(side for pair in obj.pairs for side in pair)))
+    elif len(obj.priorities) != g.n:
+        raise ValueError(f"objective maps {len(obj.priorities)} states, game has {g.n}")
 
 
 def subgame(g: GameGraph, keep: Iterable[int]) -> tuple[GameGraph, dict[int, int]]:

@@ -84,11 +84,12 @@ def reduce_stochastic_parity(g: GameGraph, obj: Parity) -> ReductionResult:
     return ReductionResult(g, reduced, Parity(tuple(prios)), kind="gadget")
 
 
-def dual_game(g: GameGraph, obj: Parity) -> tuple[GameGraph, Parity]:
-    """Owners swapped and the objective complemented."""
+def dual_game(g: GameGraph, obj: Objective) -> tuple[GameGraph, Objective]:
+    """Owners swapped and the objective, of any class, complemented: player
+    1's almost-sure region in ``g`` is player 0's in the dual."""
+    check_objective(g, obj, Objective)
     swap = {PLAYER0: PLAYER1, PLAYER1: PLAYER0, PROBABILISTIC: PROBABILISTIC}
-    dual = replace(g, owners=tuple(swap[o] for o in g.owners))
-    return dual, complement(obj)
+    return replace(g, owners=tuple(swap[o] for o in g.owners)), complement(obj)
 
 
 def lar_reduce(g: GameGraph, obj: Streett | Rabin) -> ReductionResult:
@@ -156,14 +157,17 @@ def lar_reduce(g: GameGraph, obj: Streett | Rabin) -> ReductionResult:
     return ReductionResult(g, product, Parity(tuple(prios)), origin, memory, kind="lar")
 
 
-def to_two_player_parity(g: GameGraph, obj: Objective) -> tuple[GameGraph, Parity]:
-    """2-player parity game for any objective: the record product for
-    Rabin/Streett, then the probabilistic-state gadget."""
+def reduction_chain(g: GameGraph, obj: Objective) -> list[ReductionResult]:
+    """The reductions from ``g`` to a 2-player parity game, in order: the
+    record product for Rabin/Streett (without pairs, priority 0 everywhere
+    for Streett, 1 for Rabin), then the gadget, the identity on a 2-player
+    game.  Each step's source is the previous step's game."""
+    chain = []
     if isinstance(obj, (Streett, Rabin)):
-        lar = lar_reduce(g, obj)
-        g, obj = lar.game, lar.parity
-    red = reduce_stochastic_parity(g, obj)
-    return red.game, red.parity
+        chain.append(lar_reduce(g, obj))
+        g, obj = chain[-1].game, chain[-1].parity
+    chain.append(reduce_stochastic_parity(g, obj))
+    return chain
 
 
 def lift_lasso(res: ReductionResult, lasso) -> "Lasso":

@@ -1,8 +1,8 @@
 """Game solving: Zielonka for 2-player parity games, cooperative regions,
 the almost-sure pipeline and the brute-force oracle.
 
-Player 1 is always handled through the dual game (owners swapped, parity
-complemented), so a single player-0 code path serves both players.
+Player 1 is always handled through the dual game (owners swapped,
+objective complemented), so a single player-0 code path serves both players.
 """
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from . import _kernels
 from .errors import NotDeterministicGame, TooLarge
 from .graph import PLAYER0, PLAYER1, GameGraph, _tarjan, check_objective
 from .objectives import Objective, Parity, Rabin, Streett, complement
-from .reductions import dual_game, lar_reduce, pullback_strategy, reduce_stochastic_parity
+from .reductions import dual_game, pullback_strategy, reduction_chain
 from .strategies import Region, Strategy
 
 ORACLE_STATE_BOUND = 10
@@ -323,24 +323,20 @@ def _almost_sure_reach_inside(n, succ, free, region, targets):
 def almost_sure_solve(g: GameGraph, obj: Objective, player: int) -> tuple[Region, Strategy]:
     """Almost-sure winning region and witness strategy for ``player``.
 
-    Rabin/Streett objectives go through the index-appearance-record
-    product first; the resulting stochastic parity game is reduced to a
-    2-player parity game and solved.  Player 1 is solved on the dual game.
-    """
-    if isinstance(obj, (Streett, Rabin)):
-        lar = lar_reduce(g, obj)
-        inner_region, inner_strategy = almost_sure_solve(lar.game, lar.parity, player)
-        strategy = pullback_strategy(lar, inner_strategy)
-        return Region(lar.lift(inner_region.states)), strategy
-    check_objective(g, obj, Parity)
+    Player 1 is solved as player 0 of the dual game.  Zielonka solves the
+    last game of the reduction chain; the region is lifted and the strategy
+    pulled back up the chain, each step requiring a choice at every owned
+    state of the region."""
     if player == PLAYER1:
         g, obj = dual_game(g, obj)
     elif player != PLAYER0:
         raise ValueError(f"player must be 0 or 1, got {player}")
-    red = reduce_stochastic_parity(g, obj)
-    w0, _, strategy, _ = zielonka_solve(red.game, red.parity)
-    region = red.lift(w0.states)
-    if red.kind == "gadget":
-        required = [s for s in region if g.owners[s] == PLAYER0]
-        strategy = pullback_strategy(red, strategy, require=required)
+    chain = reduction_chain(g, obj)
+    w0, _, strategy, _ = zielonka_solve(chain[-1].game, chain[-1].parity)
+    region = w0.states
+    for step in reversed(chain):
+        region = step.lift(region)
+        if step.kind != "identity":
+            required = [s for s in region if step.source.owners[s] == PLAYER0]
+            strategy = pullback_strategy(step, strategy, require=required)
     return Region(region), dataclasses.replace(strategy, player=player)

@@ -31,7 +31,7 @@ from .errors import (
     StructureSyntaxError,
     UnknownProp,
 )
-from .graph import PLAYER0, PLAYER1, PROBABILISTIC, GameGraph, build_game
+from .graph import PLAYER0, PLAYER1, PROBABILISTIC, GameGraph, build_game, check_objective
 from .objectives import Objective, Parity, Rabin, Streett, buchi_parity
 
 _PLAYER_TAGS = {"0": PLAYER0, "1": PLAYER1, "-1": PROBABILISTIC}
@@ -411,10 +411,8 @@ def _encode_objective(obj: Objective, n: int) -> tuple[str, list]:
         for s in range(n):
             acc_sets[obj.priorities[s]].append(s)
         return "parity", [tuple(acc) for acc in acc_sets]
-    if isinstance(obj, (Streett, Rabin)):
-        acc_sets = [(tuple(sorted(q)), tuple(sorted(r))) for q, r in obj.pairs]
-        return ("streett" if isinstance(obj, Streett) else "rabin"), acc_sets
-    raise TypeError(f"cannot serialize objective {obj!r}")
+    acc_sets = [(tuple(sorted(q)), tuple(sorted(r))) for q, r in obj.pairs]
+    return ("streett" if isinstance(obj, Streett) else "rabin"), acc_sets
 
 
 def _decode_objective(doc: StructureDocument, rank: dict[int, int]) -> Objective:
@@ -440,6 +438,7 @@ def game_to_document(g: GameGraph, obj: Objective) -> StructureDocument:
     """
     if g.initial is None:
         raise SchemaError("game documents need an initial state")
+    check_objective(g, obj, Objective)
     states = [
         StateDecl(s, g.owners[s], g.label(s)) for s in range(g.n)
     ]

@@ -263,7 +263,7 @@ def test_convert_rabin_streett_to_pgsolver_is_input_error(workdir, capsys):
         assert not captured.out
 
 
-def test_coop_on_streett_game_goes_through_the_product(workdir, capsys):
+def test_coop_on_streett_game(workdir, capsys):
     from omegagames.objectives import Streett
 
     g = build_game([(PLAYER0, [1]), (PLAYER0, [0, 1])], initial=0)
@@ -274,6 +274,34 @@ def test_coop_on_streett_game_goes_through_the_product(workdir, capsys):
     assert cli_main(["coop", "streett.xml"]) == 0
     out = capsys.readouterr().out
     assert "{0, 1}" in out
+
+
+@pytest.mark.parametrize("objective", ["Streett", "Rabin"])
+@pytest.mark.parametrize("owners", [(PLAYER0, PLAYER1), (PLAYER0, PLAYER1, PROBABILISTIC)])
+def test_pairless_games_are_answered(workdir, capsys, objective, owners):
+    """A Streett objective without pairs holds on every play and a Rabin
+    one on none; ``solve``, ``reduce`` and the console's ``winningRegion``
+    answer such documents with the oracle's regions."""
+    from omegagames import objectives
+    from omegagames.console import ConsoleState, eval_statement
+    from omegagames.solve import almost_sure_solve, oracle_solve
+    from omegagames.structio import document_to_game, parse_structure
+
+    g = sample_game(SplitMix64(31), max_states=5, owners=owners)
+    obj = getattr(objectives, objective)([])
+    (workdir / "pairless.xml").write_text(write_structure(game_to_document(g, obj)), encoding="utf-8")
+    state, _ = eval_statement(ConsoleState(), f"$g = {objective}Game readFile pairless.xml")
+    for player in (PLAYER0, PLAYER1):
+        expected = oracle_solve(g, obj, player)
+        code = cli_main(["solve", "--player", str(player), "pairless.xml"])
+        assert capsys.readouterr().out == f"winningRegion {player} = {expected}\n"
+        assert code == (0 if g.initial in expected else 1)
+        state, _ = eval_statement(state, f"$w = $g winningRegion {player}")
+        assert state.bindings["$w"].payload.states == expected.states
+    assert cli_main(["reduce", "pairless.xml", "-o", "reduced.xml"]) == 0
+    reduced, parity = document_to_game(parse_structure((workdir / "reduced.xml").read_text()))
+    region, _ = almost_sure_solve(reduced, parity, PLAYER0)
+    assert region.states & set(range(g.n)) == oracle_solve(g, obj, PLAYER0).states
 
 
 def test_bench_table_shape(workdir, capsys):

@@ -187,19 +187,21 @@ def test_pgsolver_round_trip_keeps_game_and_regions(kernels, game_and_parity):
 
 @st.composite
 def _pair_game(draw):
-    """A small 2-player game with a Streett or Rabin objective whose pair
-    states are drawn from [-2, n+2], so some are not states of the game."""
+    """A small 2-player game with a Streett or Rabin objective of at most
+    two pairs, possibly none, whose pair states are drawn from [-2, n+2],
+    so some are not states of the game."""
     n = draw(st.integers(1, 6))
     succ = st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True)
     game = build_game([(draw(st.integers(0, 1)), draw(succ)) for _ in range(n)])
     side = st.frozensets(st.integers(-2, n + 2), max_size=3)
-    pairs = draw(st.lists(st.tuples(side, side), min_size=1, max_size=2))
+    pairs = draw(st.lists(st.tuples(side, side), min_size=0, max_size=2))
     return game, draw(st.sampled_from([Streett, Rabin]))(pairs)
 
 
 @FUZZ
 @given(_pair_game())
 @example((build_game([(0, [1]), (1, [1])]), Streett([({-1}, set())])))
+@example((build_game([(0, [1]), (1, [0])]), Rabin([])))
 def test_pair_states_outside_the_game_are_refused_by_every_solver(kernels, game_and_objective):
     """``almost_sure_solve`` for both players and ``cooperative_region``
     answer exactly when every pair state is a state of the game, and raise

@@ -5,7 +5,7 @@ from math import factorial
 import pytest
 
 from omegagames.benchgen import SplitMix64
-from omegagames.errors import NoPairs, UndefinedOnRegion
+from omegagames.errors import UndefinedOnRegion
 from omegagames.graph import PLAYER0, PLAYER1, PROBABILISTIC, build_game, validate_game
 from omegagames.objectives import Lasso, Parity, Rabin, Streett, accepts_lasso
 from omegagames.reductions import (
@@ -15,7 +15,7 @@ from omegagames.reductions import (
     lift_lasso,
     pullback_strategy,
     reduce_stochastic_parity,
-    to_two_player_parity,
+    reduction_chain,
 )
 from omegagames.solve import zielonka_solve
 from omegagames.strategies import Strategy
@@ -59,10 +59,14 @@ def test_dual_game_swaps_owners_and_shifts_priorities():
     assert dual.support(2) == g.support(2)
 
 
-def test_lar_rejects_empty_pairs():
-    g = build_game([(PLAYER0, [0])])
-    with pytest.raises(NoPairs):
-        lar_reduce(g, Streett([]))
+def test_lar_without_pairs_has_one_record_and_one_priority():
+    """No pairs: one record per state, priority 0 for Streett (every play
+    wins) and 1 for Rabin (none does)."""
+    g = build_game([(PLAYER0, [0, 1]), (PROBABILISTIC, [0, 1])])
+    for obj, priority in ((Streett([]), 0), (Rabin([]), 1)):
+        res = lar_reduce(g, obj)
+        assert res.game.n == g.n and res.memory_map == ((), ())
+        assert res.parity.priorities == (priority, priority)
 
 
 def test_lar_single_state_request_response():
@@ -157,7 +161,7 @@ def test_lar_lasso_equivalence_exhaustive_two_states():
                             )
 
 
-def test_to_two_player_parity_is_the_product_then_the_gadget():
+def test_reduction_chain_is_the_product_then_the_gadget():
     rng = SplitMix64(0x2B1A)
     for trial in range(60):
         g = sample_game(rng, max_states=5)
@@ -169,9 +173,39 @@ def test_to_two_player_parity_is_the_product_then_the_gadget():
         else:
             obj = sample_parity(rng, g.n)
             red = reduce_stochastic_parity(g, obj)
-        game, parity = to_two_player_parity(g, obj)
-        assert game.is_two_player
-        assert (game, parity) == (red.game, red.parity)
+        chain = reduction_chain(g, obj)
+        assert len(chain) == (2 if trial % 3 else 1)
+        assert chain[0].source is g
+        assert all(step.source is before.game for before, step in zip(chain, chain[1:]))
+        last = chain[-1]
+        assert last.game.is_two_player
+        assert (last.game, last.parity) == (red.game, red.parity)
+
+
+def test_product_of_the_dual_is_the_dual_of_the_product():
+    """Solving player 1 takes the dual first and the record product second.
+    The record ignores owners, so both orders give the same states, owners,
+    successors, labels and maps.  A Rabin record priority is the Streett one
+    plus 1, the complement's shift: for a Streett objective the priorities
+    agree too; for a Rabin one the product of the dual has every priority
+    (and the count) 2 lower, the same parity order."""
+    rng = SplitMix64(0xD0A1)
+    for trial in range(120):
+        owners = (PLAYER0, PLAYER1) if trial % 2 else (PLAYER0, PLAYER1, PROBABILISTIC)
+        g = sample_game(rng, max_states=6, owners=owners)
+        pairs = sample_pairs(rng, g.n, max_pairs=3)
+        for obj, lower in ((Streett(pairs), 0), (Rabin(pairs), 2)):
+            first = lar_reduce(*dual_game(g, obj))
+            second = lar_reduce(g, obj)
+            game, parity = dual_game(second.game, second.parity)
+            assert first.game.owners == game.owners
+            assert first.game.succ == game.succ
+            assert first.game.labels == game.labels
+            assert first.game.initial == game.initial
+            assert first.parity.priorities == tuple(p - lower for p in parity.priorities)
+            assert first.parity.count == parity.count - lower
+            assert first.origin_map == second.origin_map
+            assert first.memory_map == second.memory_map
 
 
 def test_pullback_identity_reduction():

@@ -6,11 +6,11 @@ import omegagames.graph
 import omegagames.solve
 from omegagames import _kernels
 from omegagames.benchgen import SplitMix64
-from omegagames.errors import NoPairs, NotDeterministicGame, TooLarge, TypeMismatch
+from omegagames.errors import NotDeterministicGame, TooLarge, TypeMismatch
 from omegagames.graph import PLAYER0, PLAYER1, PROBABILISTIC, _tarjan, build_game, validate_game
 from omegagames.objectives import Parity, Rabin, Streett, complement
 from omegagames.pgsolver import export_pgsolver
-from omegagames.reductions import lar_reduce, reduce_stochastic_parity, to_two_player_parity
+from omegagames.reductions import lar_reduce, reduce_stochastic_parity, reduction_chain
 from omegagames.solve import (
     almost_sure_solve,
     cooperative_region,
@@ -108,7 +108,7 @@ def test_cooperative_matches_end_components(kernel_name, monkeypatch):
     def no_product(*args):
         raise AssertionError("cooperative_region built the record product")
 
-    monkeypatch.setattr(omegagames.solve, "lar_reduce", no_product)
+    monkeypatch.setattr(omegagames.reductions, "lar_reduce", no_product)
     rng = SplitMix64(0xC00B)
     with _kernels.using(kernel_name):
         for trial in range(300):
@@ -145,15 +145,18 @@ def test_cooperative_chain_takes_one_decomposition(kernel_name, monkeypatch):
     assert len(calls) <= 2
 
 
-@pytest.mark.parametrize("objective", [Streett, Rabin])
-def test_cooperative_without_pairs_is_refused(kernel_name, objective):
-    g = build_game([(PLAYER0, [0])])
-    with _kernels.using(kernel_name), pytest.raises(NoPairs):
-        cooperative_region(g, objective([]))
+@pytest.mark.parametrize("objective, expected", [(Streett, {0, 1}), (Rabin, set())])
+def test_cooperative_without_pairs_is_all_or_nothing(kernel_name, objective, expected):
+    """A Streett objective without pairs holds on every play, a Rabin one
+    on none."""
+    g = build_game([(PLAYER0, [1]), (PLAYER1, [1])])
+    with _kernels.using(kernel_name):
+        assert cooperative_region(g, objective([])).states == expected
 
 
 # Objectives that do not fit the 2-state game of ``_fit_game``, and the
-# error each entry raises for them, in this order.
+# error each entry raises for them, in this order.  A pairless Rabin
+# objective fits every game: ``None`` marks the entries that answer it.
 BAD_OBJECTIVES = {
     "parity of the wrong length": Parity((0, 0, 0)),
     "pair state n": Streett([({2}, set())]),
@@ -163,16 +166,16 @@ BAD_OBJECTIVES = {
     "None": None,
 }
 _PARITY_ONLY = [ValueError, TypeError, TypeError, TypeError, TypeError, TypeError]
-_ANY = [ValueError, ValueError, ValueError, ValueError, NoPairs, TypeError]
+_ANY = [ValueError, ValueError, ValueError, ValueError, None, TypeError]
 OBJECTIVE_ENTRIES = {
     "zielonka_solve": (zielonka_solve, _PARITY_ONLY),
     "reduce_stochastic_parity": (reduce_stochastic_parity, _PARITY_ONLY),
     "export_pgsolver": (export_pgsolver, [ValueError] + [TypeMismatch] * 5),
-    "lar_reduce": (lar_reduce, [TypeError, ValueError, ValueError, ValueError, NoPairs, TypeError]),
+    "lar_reduce": (lar_reduce, [TypeError, ValueError, ValueError, ValueError, None, TypeError]),
     "cooperative_region": (cooperative_region, _ANY),
     "almost_sure_solve player 0": (lambda g, obj: almost_sure_solve(g, obj, PLAYER0), _ANY),
     "almost_sure_solve player 1": (lambda g, obj: almost_sure_solve(g, obj, PLAYER1), _ANY),
-    "to_two_player_parity": (to_two_player_parity, _ANY),
+    "reduction_chain": (lambda g, obj: reduction_chain(g, obj)[-1], _ANY),
 }
 
 
@@ -185,8 +188,12 @@ def _fit_game():
 def test_every_entry_rejects_an_objective_that_does_not_fit(kernel_name, entry, bad):
     fn, errors = OBJECTIVE_ENTRIES[entry]
     error = errors[list(BAD_OBJECTIVES).index(bad)]
-    with _kernels.using(kernel_name), pytest.raises(error) as caught:
-        fn(_fit_game(), BAD_OBJECTIVES[bad])
+    with _kernels.using(kernel_name):
+        if error is None:
+            fn(_fit_game(), BAD_OBJECTIVES[bad])
+            return
+        with pytest.raises(error) as caught:
+            fn(_fit_game(), BAD_OBJECTIVES[bad])
     assert type(caught.value) is error
 
 
@@ -288,6 +295,23 @@ def test_almost_sure_matches_oracle_with_three_pairs():
                 assert fast.states == oracle_solve(g, obj, player).states
                 rel = obj if player == 0 else complement(obj)
                 assert strategy_wins_almost_surely(g, rel, player, fast, strategy)
+
+
+def test_almost_sure_without_pairs_matches_oracle(kernel_name):
+    """Streett and Rabin objectives without pairs are answered like any
+    other: a Streett one holds on every play, a Rabin one on none."""
+    rng = SplitMix64(0x0FA1)
+    with _kernels.using(kernel_name):
+        for trial in range(60):
+            owners = (PLAYER0, PLAYER1) if trial % 2 else (PLAYER0, PLAYER1, PROBABILISTIC)
+            g = sample_game(rng, max_states=6, owners=owners)
+            for obj in (Streett([]), Rabin([])):
+                for player in (PLAYER0, PLAYER1):
+                    fast, strategy = almost_sure_solve(g, obj, player)
+                    assert fast.states == oracle_solve(g, obj, player).states
+                    assert len(fast.states) in (0, g.n)
+                    rel = obj if player == PLAYER0 else complement(obj)
+                    assert strategy_wins_almost_surely(g, rel, player, fast, strategy)
 
 
 def test_streett_opponent_memory_regression():

@@ -161,11 +161,12 @@ def test_game_round_trip_with_probabilistic_state():
 
 def test_round_trip_all_acceptance_types():
     """Every acceptance type survives write/parse, and the parsed document
-    decodes to the objective that was written."""
+    decodes to the objective that was written, pairless Streett and Rabin
+    objectives included."""
     rng = SplitMix64(0x10F11E)
-    for trial in range(50):
+    for trial in range(60):
         g = sample_game(rng)
-        kind = trial % 4
+        kind = trial % 6
         if kind == 1:
             # buchi documents: write by hand via structure_document
             acc = tuple(s for s in range(g.n) if rng.below(2))
@@ -189,13 +190,27 @@ def test_round_trip_all_acceptance_types():
                 obj = sample_parity(rng, g.n)
             elif kind == 2:
                 obj = Streett(sample_pairs(rng, g.n))
-            else:
+            elif kind == 3:
                 obj = Rabin(sample_pairs(rng, g.n))
+            else:
+                obj = (Streett if kind == 4 else Rabin)([])
             doc = game_to_document(g, obj)
         text = write_structure(doc)
         assert parse_structure(text) == doc
         assert write_structure(parse_structure(text)) == text
         assert document_to_game(parse_structure(text))[1] == obj
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [Parity((0, 1, 2)), Parity((0,)), Streett([({5}, set())])],
+    ids=["parity longer than the game", "parity shorter than the game", "pair state 5"],
+)
+def test_game_document_refuses_an_objective_that_does_not_fit(obj):
+    g = build_game([(PLAYER0, [1]), (PLAYER1, [0])], initial=0)
+    with pytest.raises(ValueError) as caught:
+        game_to_document(g, obj)
+    assert type(caught.value) is ValueError
 
 
 def test_parsed_games_validate():
