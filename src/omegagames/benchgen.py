@@ -10,7 +10,7 @@ five-column table (also available as CSV).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -137,16 +137,7 @@ def run_benchmark(specs: Iterable[BenchSpec], out=None) -> list[BenchRow]:
     for spec in specs:
         times = []
         for rep in range(spec.repetitions):
-            game, parity = random_game(
-                BenchSpec(
-                    spec.states,
-                    spec.edges,
-                    spec.priorities,
-                    spec.prob_fraction,
-                    spec.seed + rep,
-                    1,
-                )
-            )
+            game, parity = random_game(replace(spec, seed=spec.seed + rep, repetitions=1))
             start = time.perf_counter()
             almost_sure_solve(game, parity, PLAYER0)
             times.append(time.perf_counter() - start)

@@ -13,14 +13,16 @@ they are built without a second check: straight from owner, successor and
 label columns with the trusted ``GameGraph`` constructor, sharing their
 source's successor tuples for the states they leave unchanged.  Likewise
 ``check_objective`` is the one check that an objective fits its game: the
-reductions, both game exports and every solver but the oracle make it.
+reductions, both game exports and every solver but the oracle make it, and
+``explore`` is the one search that numbers product states: the record
+product, the assumption automaton and the transducer are each built by it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence, get_args
+from typing import Callable, Iterable, Mapping, Optional, Sequence, get_args
 
 from . import _kernels
 from .errors import DeadEndCreated, InvalidGame, RandomSupportBroken
@@ -413,3 +415,28 @@ def _tarjan(succ: Sequence[Sequence[int]], enabled: Sequence[bool]) -> list[list
                 if low[v] < low[parent]:
                     low[parent] = low[v]
     return comps
+
+
+def explore(roots: Iterable, expand: Callable) -> tuple[dict, list]:
+    """Breadth-first search numbering each key the first time it is seen.
+
+    ``roots`` get the first numbers, in their order (a repeated root keeps
+    its first number).  Then ``expand(key, intern)`` runs on each key in
+    number order, where ``intern(key)`` returns a key's number, numbering
+    and queueing it if it is new.  Returns the key -> number dict, whose
+    order is the number order, and the rows ``expand`` returned, one per key.
+    """
+    index: dict = {}
+    keys: list = []
+
+    def intern(key):
+        got = index.get(key)
+        if got is None:
+            got = index[key] = len(keys)
+            keys.append(key)
+        return got
+
+    for key in roots:
+        intern(key)
+    # the loop also visits the keys that ``expand`` appends as it goes
+    return index, [expand(key, intern) for key in keys]

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
 from .errors import UndefinedOnRegion
-from .graph import PLAYER0, PLAYER1, PROBABILISTIC, GameGraph, check_objective
+from .graph import PLAYER0, PLAYER1, PROBABILISTIC, GameGraph, check_objective, explore
 from .objectives import Objective, Parity, Rabin, Streett, complement
 from .strategies import Strategy
 
@@ -105,7 +105,8 @@ def lar_reduce(g: GameGraph, obj: Streett | Rabin) -> ReductionResult:
     value is even iff the objective holds; it is flipped into the global
     min-even convention.  A product state pairs a game state with the
     record *before* the visit, so there are at most n*k! of them; the
-    distinguished copies (state, initial record) occupy indices 0..n-1.
+    distinguished copies (state, initial record) are the search's roots, so
+    they occupy indices 0..n-1.
     """
     check_objective(g, obj, Streett | Rabin)
     npairs = len(obj.pairs)
@@ -120,36 +121,21 @@ def lar_reduce(g: GameGraph, obj: Streett | Rabin) -> ReductionResult:
     flip_base = 2 * npairs + 2  # even, and no record priority exceeds it
     r_init = tuple(range(npairs))
 
-    index: dict[tuple[int, tuple], int] = {}
-    order: list[tuple[int, tuple]] = []
-
-    def intern(s, rec):
-        key = (s, rec)
-        got = index.get(key)
-        if got is None:
-            got = len(order)
-            index[key] = got
-            order.append(key)
-        return got
-
-    for s in range(g.n):
-        intern(s, r_init)
-    succ_out: list[tuple[int, ...]] = []
     prios: list[int] = []
-    qi = 0
-    while qi < len(order):
-        s, rec = order[qi]
-        qi += 1
+
+    def expand(key, intern):
+        s, rec = key
         hit = in_r[s]
         f = max((rec.index(i) + 1 for i in hit), default=0)
         e = max((rec.index(i) + 1 for i in in_q[s]), default=0)
         prios.append(flip_base - (2 * e if e > f else 2 * f + 1) - shift)
         if hit:
             rec = tuple(i for i in rec if i in hit) + tuple(i for i in rec if i not in hit)
-        succ_out.append(tuple([intern(t, rec) for t in g.succ[s]]))
+        return tuple([intern((t, rec)) for t in g.succ[s]])
 
-    origin = tuple([s for s, _rec in order])
-    memory = tuple([rec for _s, rec in order])
+    index, succ_out = explore([(s, r_init) for s in range(g.n)], expand)
+    origin = tuple([s for s, _rec in index])
+    memory = tuple([rec for _s, rec in index])
     owners = tuple([g.owners[s] for s in origin])
     weights = {idx: g.given_weights[s] for idx, s in enumerate(origin) if s in g.given_weights}
     labels = tuple([g.label(s) for s in origin])

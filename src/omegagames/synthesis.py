@@ -24,7 +24,7 @@ from .errors import (
     SpecUnsatisfiable,
     StrategyIncomplete,
 )
-from .graph import PLAYER0, PLAYER1, PROBABILISTIC, GameGraph, build_game
+from .graph import PLAYER0, PLAYER1, PROBABILISTIC, GameGraph, build_game, explore
 from .objectives import Parity
 from .solve import almost_sure_solve, cooperative_region, zielonka_solve
 from .strategies import Strategy
@@ -60,14 +60,6 @@ class SynthesisGame:
 
     def choice_index(self, q: int, i: int) -> int:
         return self.n_env + q * self.n_inputs + i
-
-    def outputs_to(self, q: int, i: int, target: int) -> tuple[int, ...]:
-        """Output letters moving the automaton from q to ``target`` under i."""
-        return tuple(
-            o
-            for o in range(self.alphabet.n_outputs)
-            if self.automaton.step(q, i, o) == target
-        )
 
     def env_edges(self) -> list[EnvEdge]:
         """Environment edges present in the (possibly pruned) game."""
@@ -115,7 +107,9 @@ class SynthesisGame:
                 emptied.append(q)
         new_graph = replace(self.graph, succ=tuple(succ))
         if emptied:
-            reachable = _reachable(new_graph)
+            reachable, _ = explore(
+                [new_graph.initial], lambda s, intern: [intern(t) for t in new_graph.succ[s]]
+            )
             hit = [q for q in emptied if q in reachable]
             if hit:
                 raise EnvDeadlocked(
@@ -127,20 +121,6 @@ class SynthesisGame:
     def repair(self) -> "Repair":
         """The staged ``Repair``; raises ``SpecUnsatisfiable`` when there is none."""
         return Repair(self, *compute_safety_assumption(self))
-
-
-def _reachable(g: GameGraph) -> set[int]:
-    if g.initial is None:
-        return set(range(g.n))
-    seen = {g.initial}
-    queue = [g.initial]
-    while queue:
-        s = queue.pop()
-        for t in g.succ[s]:
-            if t not in seen:
-                seen.add(t)
-                queue.append(t)
-    return seen
 
 
 @dataclass(frozen=True)
@@ -325,45 +305,28 @@ def assumption_to_streett_automaton(sg: SynthesisGame, asm: Assumption) -> Stree
     fair = sorted(asm.fair_edges)
     safety = asm.safety_edges
 
-    nodes: dict[tuple, int] = {}
-    order: list[tuple] = []
-
-    def intern(key):
-        got = nodes.get(key)
-        if got is None:
-            got = len(order)
-            nodes[key] = got
-            order.append(key)
-        return got
+    def expand(key, intern):
+        if key[0] in ("acc", "rej"):
+            return [intern(key)] * alpha.n_letters
+        q = key[1] if key[0] == "env" else key[2]
+        row = []
+        for letter in range(alpha.n_letters):
+            i, o = alpha.split(letter)
+            edge = (q, i)
+            if edge in safety:
+                row.append(intern(("rej",)))
+                continue
+            q2 = sg.automaton.step(q, i, o)
+            if q2 not in coop:
+                row.append(intern(("acc",)))
+            elif edge in asm.fair_edges:
+                row.append(intern(("mark", edge, q2)))
+            else:
+                row.append(intern(("env", q2)))
+        return row
 
     init_env = sg.graph.initial
-    start = intern(("env", init_env) if init_env in coop else ("acc",))
-    delta: list[list[int]] = []
-    qi = 0
-    while qi < len(order):
-        key = order[qi]
-        qi += 1
-        row = []
-        if key[0] == "acc":
-            row = [intern(("acc",))] * alpha.n_letters
-        elif key[0] == "rej":
-            row = [intern(("rej",))] * alpha.n_letters
-        else:
-            q = key[1] if key[0] == "env" else key[2]
-            for letter in range(alpha.n_letters):
-                i, o = alpha.split(letter)
-                edge = (q, i)
-                if edge in safety:
-                    row.append(intern(("rej",)))
-                    continue
-                q2 = sg.automaton.step(q, i, o)
-                if q2 not in coop:
-                    row.append(intern(("acc",)))
-                elif edge in asm.fair_edges:
-                    row.append(intern(("mark", edge, q2)))
-                else:
-                    row.append(intern(("env", q2)))
-        delta.append(row)
+    nodes, delta = explore([("env", init_env) if init_env in coop else ("acc",)], expand)
 
     def represents(key, q):
         return (key[0] == "env" and key[1] == q) or (key[0] == "mark" and key[2] == q)
@@ -371,9 +334,9 @@ def assumption_to_streett_automaton(sg: SynthesisGame, asm: Assumption) -> Stree
     pairs = []
     for edge in fair:
         src = edge[0]
-        request = frozenset(idx for idx, key in enumerate(order) if represents(key, src))
+        request = frozenset(idx for idx, key in enumerate(nodes) if represents(key, src))
         response = frozenset(
-            idx for idx, key in enumerate(order) if key[0] == "mark" and key[1] == edge
+            idx for idx, key in enumerate(nodes) if key[0] == "mark" and key[1] == edge
         )
         pairs.append((request, response))
     rej = nodes.get(("rej",))
@@ -381,7 +344,7 @@ def assumption_to_streett_automaton(sg: SynthesisGame, asm: Assumption) -> Stree
         pairs.append((frozenset({rej}), frozenset()))
 
     labels = []
-    for key in order:
+    for key in nodes:
         if key[0] == "env":
             labels.append(f"q{key[1]}")
         elif key[0] == "acc":
@@ -392,8 +355,8 @@ def assumption_to_streett_automaton(sg: SynthesisGame, asm: Assumption) -> Stree
             labels.append(f"q{key[2]} via fair {sg.describe_edge(key[1])}")
     return StreettAutomaton(
         alphabet=alpha,
-        n=len(order),
-        initial=start,
+        n=len(nodes),
+        initial=0,
         delta=tuple(tuple(row) for row in delta),
         pairs=tuple(pairs),
         labels=tuple(labels),
@@ -491,13 +454,8 @@ def extract_transducer(
     else:
         start = (graph.initial, m0, True)
 
-    index = {start: 0}
-    order = [start]
-    moves = []
-    qi = 0
-    while qi < len(order):
-        q, m, live = order[qi]
-        qi += 1
+    def expand(key, intern):
+        q, m, live = key
         m_c = strategy.update(m, q)
         row = []
         env_targets = set(graph.succ[q])
@@ -510,8 +468,10 @@ def extract_transducer(
                 m_next = strategy.update(m_c, c)
                 if x in wrapper_of:
                     m_next = strategy.update(m_next, x)
-                o = sg.outputs_to(q, i, q2)[0]
-                key = (q2, m_next, True)
+                o = next(
+                    o for o in range(alpha.n_outputs) if sg.automaton.step(q, i, o) == q2
+                )
+                nxt = (q2, m_next, True)
             elif live and allowed:
                 raise StrategyIncomplete(
                     f"no choice at state {c} ({graph.label(c)}) under memory {m_c!r}"
@@ -520,12 +480,11 @@ def extract_transducer(
                 # input the assumption forbids (or a don't-care successor of
                 # one): answer with the least output letter
                 o = 0
-                key = (sg.automaton.step(q, i, o), m_c, False)
-            if key not in index:
-                index[key] = len(order)
-                order.append(key)
-            row.append((o, index[key]))
-        moves.append(tuple(row))
+                nxt = (sg.automaton.step(q, i, o), m_c, False)
+            row.append((o, intern(nxt)))
+        return tuple(row)
+
+    _, moves = explore([start], expand)
     minimized, initial = _minimize_mealy(tuple(moves), 0)
     return Transducer(alphabet=alpha, initial=initial, moves=minimized)
 

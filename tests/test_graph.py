@@ -4,7 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omegagames.benchgen import SplitMix64
-from omegagames.errors import DeadEndCreated, EnvDeadlocked, InvalidGame, RandomSupportBroken
+from omegagames.errors import (
+    DeadEndCreated,
+    EnvDeadlocked,
+    InvalidGame,
+    RandomSupportBroken,
+    StrategyIncomplete,
+)
 from omegagames.graph import (
     EXISTENTIAL,
     PLAYER0,
@@ -14,6 +20,7 @@ from omegagames.graph import (
     GameGraph,
     attractor,
     build_game,
+    explore,
     scc_decompose,
     subgame,
     validate_game,
@@ -395,3 +402,28 @@ def test_scc_partitions_states(seed):
     for s in range(g.n):
         for t in g.succ[s]:
             assert comp_of[t] <= comp_of[s]
+
+
+def test_explore_numbers_roots_then_discoveries():
+    """Roots first in order (a repeated root once), then keys in the order
+    they are discovered; one row per key, aligned with the numbers."""
+    edges = {"a": "ca", "b": "dc", "c": "e", "d": "", "e": "b"}
+    expanded = []
+
+    def expand(key, intern):
+        expanded.append(key)
+        return [intern(t) for t in edges[key]]
+
+    index, rows = explore(["b", "a", "b"], expand)
+    assert list(index.items()) == [("b", 0), ("a", 1), ("d", 2), ("c", 3), ("e", 4)]
+    assert expanded == list(index)
+    # a interns itself and gets its own number back
+    assert rows == [[2, 3], [3, 1], [], [4], [0]]
+
+    def stuck(key, intern):
+        if key == "c":
+            raise StrategyIncomplete("no choice at c")
+        return [intern(t) for t in edges[key]]
+
+    with pytest.raises(StrategyIncomplete):
+        explore(["a"], stuck)

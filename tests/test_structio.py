@@ -133,7 +133,7 @@ def test_label_grammar():
         parse_label("T ∧ c", props)
 
 
-def test_format_label_round_trip():
+def test_format_letter_round_trip():
     """Every letter's label, as fa documents write it, parses back to the letter."""
     for inputs, outputs in [(("a", "b"), ("g",)), (("a",), ()), ((), ("g",)), ((), ())]:
         alpha = PropAlphabet(inputs, outputs)
