@@ -17,7 +17,7 @@ from typing import Mapping
 from . import structio
 from .errors import ConsoleParseError, TypeMismatch, UnboundVariable
 from .graph import GameGraph
-from .objectives import Parity, Rabin, Streett
+from .objectives import Parity, Rabin, Streett, pair_count
 from .reductions import reduction_chain
 from .solve import almost_sure_solve, cooperative_region
 from .synthesis import SynthesisGame, check_realizability, check_sufficiency, dpa_to_synthesis_game
@@ -77,7 +77,7 @@ def render(value: Value) -> str:
             f"{len(payload.alphabet.inputs)} input / {len(payload.alphabet.outputs)} output props]"
         )
     if kind == "StreettAutomaton":
-        return f"StreettAutomaton[{payload.n} states, {len(payload.pairs)} pairs]"
+        return f"StreettAutomaton[{payload.n} states, {pair_count(len(payload.pairs))}]"
     if kind == "BuchiAutomaton":
         return f"BuchiAutomaton[{len(payload.states)} states]"
     if kind == "LTL":

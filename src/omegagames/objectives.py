@@ -61,7 +61,7 @@ class Streett:
         return all(not (inf & q) or (inf & r) for q, r in self.pairs)
 
     def __str__(self):
-        return f"Streett objective, {len(self.pairs)} pairs"
+        return f"Streett objective, {pair_count(len(self.pairs))}"
 
 
 @dataclass(frozen=True)
@@ -78,10 +78,15 @@ class Rabin:
         return any((inf & q) and not (inf & r) for q, r in self.pairs)
 
     def __str__(self):
-        return f"Rabin objective, {len(self.pairs)} pairs"
+        return f"Rabin objective, {pair_count(len(self.pairs))}"
 
 
 Objective = Parity | Streett | Rabin
+
+
+def pair_count(k: int) -> str:
+    """``k`` pairs in words: "1 pair", "0 pairs", "3 pairs"."""
+    return f"{k} pair" if k == 1 else f"{k} pairs"
 
 
 def buchi_parity(accepting: Iterable[int], n: int) -> Parity:

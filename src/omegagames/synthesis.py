@@ -270,23 +270,38 @@ def check_sufficiency(sg: SynthesisGame, asm: Assumption) -> bool:
 def minimize_fairness(sg: SynthesisGame) -> Assumption:
     """Locally minimal fairness assumption on a safety-pruned game.
 
-    Starts from all environment edges fair and greedily drops edges in one
-    ascending (state, input letter) pass, 1 + |edges| sufficiency checks in
-    all.  One pass suffices because sufficiency is monotone in the fair
-    set: an edge kept once stays needed after later edges are dropped.
-    Raises ``NoFairnessAssumptionExists`` when even the full edge set is
+    QuickXplain (Junker, AAAI 2004) over the environment edges in
+    descending (state, input letter) order.  Sufficiency is monotone in the
+    fair set, so this keeps exactly the edges an ascending deletion pass
+    keeps: an edge stays when it is needed beside the kept edges below it
+    and every edge above it.  The full set is checked first, then the empty
+    set, then at most 2·|F|·(⌈log₂|E|⌉ + 1) subsets, for |F| kept edges out
+    of |E|; the recursion is ⌈log₂|E|⌉ deep.  Raises
+    ``NoFairnessAssumptionExists`` when even the full edge set is
     insufficient.
     """
-    fair = set(sg.env_edges())
-    if not check_sufficiency(sg, Assumption(frozenset(), frozenset(fair))):
+
+    def sufficient(edges):
+        return check_sufficiency(sg, Assumption(frozenset(), frozenset(edges)))
+
+    def explain(base, changed, candidates):
+        if changed and sufficient(base):
+            return []
+        if len(candidates) == 1:
+            return candidates
+        c1, c2 = candidates[: len(candidates) // 2], candidates[len(candidates) // 2 :]
+        d2 = explain(base + c1, bool(c1), c2)
+        d1 = explain(base + d2, bool(d2), c1)
+        return d1 + d2
+
+    edges = sorted(sg.env_edges(), reverse=True)
+    if not sufficient(edges):
         raise NoFairnessAssumptionExists(
             "the specification stays unrealizable under full transition fairness"
         )
-    for edge in sorted(fair):
-        trial = frozenset(fair - {edge})
-        if check_sufficiency(sg, Assumption(frozenset(), trial)):
-            fair.discard(edge)
-    return Assumption(frozenset(), frozenset(fair))
+    if sufficient(()):
+        return Assumption(frozenset(), frozenset())
+    return Assumption(frozenset(), frozenset(explain([], False, edges)))
 
 
 def assumption_to_streett_automaton(sg: SynthesisGame, asm: Assumption) -> StreettAutomaton:

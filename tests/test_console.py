@@ -187,5 +187,5 @@ def test_console_runs_one_fairness_search_per_synthesis_game(workdir, monkeypatc
     )
     assert len(calls) == 1
     assert outputs[1] == "assumption safety=[] fair=[(0, 0)]"
-    assert outputs[2] == "StreettAutomaton[5 states, 1 pairs]"
+    assert outputs[2] == "StreettAutomaton[5 states, 1 pair]"
     assert outputs[3].startswith("transducer: 1 states")

@@ -68,3 +68,11 @@ def test_complement_round_trips():
     assert isinstance(complement(streett), Rabin)
     assert isinstance(complement(complement(streett)), Streett)
     assert complement(complement(streett)).pairs == streett.pairs
+
+
+def test_pair_objectives_count_their_pairs_in_words():
+    pair = ({0}, {1})
+    for cls, name in ((Streett, "Streett"), (Rabin, "Rabin")):
+        assert str(cls([])) == f"{name} objective, 0 pairs"
+        assert str(cls([pair])) == f"{name} objective, 1 pair"
+        assert str(cls([pair, pair])) == f"{name} objective, 2 pairs"

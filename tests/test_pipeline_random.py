@@ -29,10 +29,10 @@ from omegagames.synthesis import (
 N_SPECS = 120
 
 
-def random_dpa(rng, max_states=3, priorities=3, wide=False):
+def random_dpa(rng, max_states=3, priorities=3, wide=False, min_states=1):
     inputs = ("x", "z") if wide else ("x",)
     alpha = PropAlphabet(inputs=inputs, outputs=("y",))
-    n = 1 + rng.below(max_states)
+    n = min_states + rng.below(max_states - min_states + 1)
     table = {
         (q, letter): rng.below(n)
         for q in range(n)

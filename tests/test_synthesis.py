@@ -1,10 +1,13 @@
 """Synthesis pipeline on the two worked request/grant examples."""
 import itertools
+import math
 import shlex
 
 import pytest
 
+from omegagames import _kernels
 from omegagames.automata import DetParityAutomaton, PropAlphabet
+from omegagames.benchgen import SplitMix64
 from omegagames.errors import (
     EnvDeadlocked,
     NoFairnessAssumptionExists,
@@ -28,6 +31,7 @@ from omegagames.synthesis import (
 )
 
 from .conftest import DATA, request_grant_automaton, repeated_grant_automaton
+from .test_pipeline_random import random_dpa
 
 
 @pytest.fixture(scope="module")
@@ -110,9 +114,15 @@ def test_repeated_grant_minimal_fairness_is_the_notc_edge(repeated_grant):
     assert check_sufficiency(safe, fair) is True
 
 
-def test_repeated_grant_fairness_search_checks_each_edge_once(repeated_grant, monkeypatch):
-    """By monotonicity one ascending pass is locally minimal: one check of
-    the full fair set, then one per environment edge."""
+def junker_bound(n_fair, n_edges):
+    """QuickXplain's check bound for |F| kept edges out of |E|, plus the
+    checks of the full and the empty fair set."""
+    return 2 + 2 * n_fair * (math.ceil(math.log2(n_edges)) + 1)
+
+
+def counting_checks(monkeypatch):
+    """Route ``synthesis.check_sufficiency`` through a recorder and return
+    the list it appends each checked assumption to."""
     from omegagames import synthesis
 
     calls = []
@@ -122,9 +132,67 @@ def test_repeated_grant_fairness_search_checks_each_edge_once(repeated_grant, mo
         return _check(sg, asm)
 
     monkeypatch.setattr(synthesis, "check_sufficiency", counted)
+    return calls
+
+
+def test_repeated_grant_fairness_search_check_count(repeated_grant, monkeypatch):
+    """The search checks through the module-level ``check_sufficiency`` and
+    stays within Junker's bound (8 checks of at most 10 here)."""
+    calls = counting_checks(monkeypatch)
     _, safe = compute_safety_assumption(repeated_grant)
-    assert minimize_fairness(safe).fair_edges == frozenset({(0, 0)})
-    assert len(calls) == 1 + len(safe.env_edges())
+    fair = minimize_fairness(safe).fair_edges
+    assert fair == frozenset({(0, 0)})
+    assert len(calls) <= junker_bound(len(fair), len(safe.env_edges()))
+
+
+def ascending_deletion_pass(sg):
+    """The oracle: start from every environment edge fair and drop edges in
+    one ascending (state, input letter) pass, 1 + |edges| checks."""
+    fair = set(sg.env_edges())
+    if not check_sufficiency(sg, Assumption(frozenset(), frozenset(fair))):
+        raise NoFairnessAssumptionExists(
+            "the specification stays unrealizable under full transition fairness"
+        )
+    for edge in sorted(fair):
+        trial = frozenset(fair - {edge})
+        if check_sufficiency(sg, Assumption(frozenset(), trial)):
+            fair.discard(edge)
+    return Assumption(frozenset(), frozenset(fair))
+
+
+def fairness_search_cases():
+    rng = SplitMix64(0xFA12)
+    for _ in range(60):
+        yield random_dpa(rng, wide=True)
+    for _ in range(12):
+        yield random_dpa(rng, max_states=30, wide=True, min_states=10)
+
+
+def test_fairness_search_matches_ascending_deletion_pass(kernel_name, monkeypatch):
+    """QuickXplain keeps the fair set of the ascending deletion pass, raises
+    exactly when it raises, and stays within Junker's check bound."""
+    calls = counting_checks(monkeypatch)
+    outcomes = {"empty": 0, "fair": 0, "none": 0}
+    with _kernels.using(kernel_name):
+        for aut in fairness_search_cases():
+            sg = dpa_to_synthesis_game(aut)
+            try:
+                _, safe = compute_safety_assumption(sg)
+            except SpecUnsatisfiable:
+                continue
+            try:
+                expected = ascending_deletion_pass(safe).fair_edges
+            except NoFairnessAssumptionExists:
+                with pytest.raises(NoFairnessAssumptionExists):
+                    minimize_fairness(safe)
+                outcomes["none"] += 1
+                continue
+            calls.clear()
+            fair = minimize_fairness(safe).fair_edges
+            assert fair == expected
+            assert len(calls) <= junker_bound(len(fair), len(safe.env_edges()))
+            outcomes["fair" if fair else "empty"] += 1
+    assert min(outcomes.values()) > 0, outcomes
 
 
 def test_repeated_grant_sufficiency_monotone_over_all_subsets(repeated_grant):
