@@ -2,8 +2,9 @@
  *
  * One attractor, ``attract_run`` (a BFS in discovery order), serves both
  * ``attract`` and Zielonka's recursion, which runs on an explicit frame
- * stack over a pool of states that ``set_alive`` removes and restores.  A
- * winning choice on a minimum-priority state is its smallest alive
+ * stack over a pool of states that ``set_alive`` removes and restores by
+ * flipping their ``alive`` flags; no count is kept across attractor runs.
+ * A winning choice on a minimum-priority state is its smallest alive
  * successor.  Any semantic change here must be mirrored in ``pure.py``.
  *
  * The games arrive in CSR form (see ``graph._flatten``): the successors of
@@ -16,7 +17,7 @@
 #include <Python.h>
 #include <limits.h>
 
-/* The buffers of one call (at most 17), freed together on every exit path. */
+/* The buffers of one call (at most 16), freed together on every exit path. */
 typedef struct {
     void *buf[20];
     int k;
@@ -114,13 +115,16 @@ to_list(const int *v, Py_ssize_t k)
 /* Backward attractor run number ``run`` over the alive subgraph.  A state
  * of owner class o (0, 1, probabilistic) joins on its first attracted
  * successor when exist[o], recording that successor in choice; otherwise
- * once all its ``live`` alive successors are attracted.  The alive targets
- * not yet marked in this run seed the queue in their given order.  Writes
- * the attracted states to ``queue`` in BFS order and returns their count.
- * mark and stamp hold run numbers, so no per-run clearing is needed. */
+ * once all its alive successors are attracted.  Those are counted from
+ * its succ row into cnt the first time the run reaches it.  The alive
+ * targets not yet marked in this run seed the queue in their given order.
+ * Writes the attracted states to ``queue`` in BFS order and returns their
+ * count.  mark and stamp hold run numbers, so no per-run clearing is
+ * needed. */
 static int
-attract_run(const int *owners, const int *pred_ptr, const int *pred,
-            const int *alive, const int *live, const int exist[3],
+attract_run(const int *owners, const int *succ_ptr, const int *succ,
+            const int *pred_ptr, const int *pred,
+            const int *alive, const int exist[3],
             const int *targets, Py_ssize_t tlen, int run,
             int *mark, int *cnt, int *stamp, int *choice, int *queue)
 {
@@ -145,7 +149,9 @@ attract_run(const int *owners, const int *pred_ptr, const int *pred,
             } else {
                 if (stamp[s] != run) {
                     stamp[s] = run;
-                    cnt[s] = live[s];
+                    cnt[s] = 0;
+                    for (int e = succ_ptr[s]; e < succ_ptr[s + 1]; e++)
+                        cnt[s] += alive[succ[e]];
                 }
                 if (--cnt[s] == 0) {
                     mark[s] = run;
@@ -160,34 +166,33 @@ attract_run(const int *owners, const int *pred_ptr, const int *pred,
 static PyObject *
 attract(PyObject *self, PyObject *args, PyObject *kwargs)
 {
-    static char *kwlist[] = {"n", "owners", "succ_ptr", "pred_ptr", "pred", "targets",
-                             "exist", NULL};
+    static char *kwlist[] = {"n", "owners", "succ_ptr", "succ", "pred_ptr", "pred",
+                             "targets", "exist", NULL};
     int n;
-    PyObject *o_owners, *o_succ_ptr, *o_pred_ptr, *o_pred, *o_targets, *o_exist;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iOOOOOO", kwlist, &n, &o_owners,
-                                     &o_succ_ptr, &o_pred_ptr, &o_pred, &o_targets, &o_exist))
+    PyObject *o_owners, *o_succ_ptr, *o_succ, *o_pred_ptr, *o_pred, *o_targets, *o_exist;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iOOOOOOO", kwlist, &n, &o_owners,
+                                     &o_succ_ptr, &o_succ, &o_pred_ptr, &o_pred, &o_targets,
+                                     &o_exist))
         return NULL;
     if (n < 0)
         return PyErr_Format(PyExc_ValueError, "n must be non-negative, got %d", n);
     Bufs b = {.k = 0};
     PyObject *result = NULL, *order = NULL, *choices = NULL;
-    Py_ssize_t m, tlen;
-    int *owners, *succ_ptr, *pred_ptr, *pred, *alive, *live, *targets, *exist;
+    Py_ssize_t m_succ, m_pred, tlen;
+    int *owners, *succ_ptr, *succ, *pred_ptr, *pred, *alive, *targets, *exist;
     int *mark, *cnt, *stamp, *choice, *queue;
     if (!(owners = read_ints(&b, o_owners, "owners", n, -1, NULL))
-        || !(pred = read_ints(&b, o_pred, "pred", 0, n, &m))
-        || !(succ_ptr = read_ints(&b, o_succ_ptr, "succ_ptr", n + 1L, m + 1, NULL))
-        || !(pred_ptr = read_ints(&b, o_pred_ptr, "pred_ptr", n + 1L, m + 1, NULL))
+        || !(succ = read_ints(&b, o_succ, "succ", 0, n, &m_succ))
+        || !(succ_ptr = read_ints(&b, o_succ_ptr, "succ_ptr", n + 1L, m_succ + 1, NULL))
+        || !(pred = read_ints(&b, o_pred, "pred", 0, n, &m_pred))
+        || !(pred_ptr = read_ints(&b, o_pred_ptr, "pred_ptr", n + 1L, m_pred + 1, NULL))
         || !(targets = read_ints(&b, o_targets, "targets", 0, n, &tlen))
         || !(exist = read_ints(&b, o_exist, "exist", 3, -1, NULL))
-        || !(alive = filled(&b, n, 1)) || !(live = filled(&b, n, 0))
-        || !(mark = filled(&b, n, 0)) || !(cnt = filled(&b, n, 0))
-        || !(stamp = filled(&b, n, 0)) || !(choice = filled(&b, n, -1))
-        || !(queue = filled(&b, n, 0)))
+        || !(alive = filled(&b, n, 1)) || !(mark = filled(&b, n, 0))
+        || !(cnt = filled(&b, n, 0)) || !(stamp = filled(&b, n, 0))
+        || !(choice = filled(&b, n, -1)) || !(queue = filled(&b, n, 0)))
         goto done;
-    for (int s = 0; s < n; s++)
-        live[s] = succ_ptr[s + 1] - succ_ptr[s];
-    int qlen = attract_run(owners, pred_ptr, pred, alive, live, exist,
+    int qlen = attract_run(owners, succ_ptr, succ, pred_ptr, pred, alive, exist,
                            targets, tlen, 1, mark, cnt, stamp, choice, queue);
     if ((order = to_list(queue, qlen)) && (choices = to_list(choice, n)))
         result = PyTuple_Pack(2, order, choices);
@@ -198,18 +203,12 @@ done:
     return result;
 }
 
-/* Mark ``states`` dead (on = 0) or alive again (on = 1), keeping every
- * predecessor's count of alive successors. */
+/* Mark ``states`` dead (on = 0) or alive again (on = 1). */
 static void
-set_alive(const int *pred_ptr, const int *pred, int *alive, int *live,
-          const int *states, int k, int on)
+set_alive(int *alive, const int *states, int k, int on)
 {
-    for (int i = 0; i < k; i++) {
-        int s = states[i];
-        alive[s] = on;
-        for (int j = pred_ptr[s]; j < pred_ptr[s + 1]; j++)
-            live[pred[j]] += on ? 1 : -1;
-    }
+    for (int i = 0; i < k; i++)
+        alive[states[i]] = on;
 }
 
 /* One frame of Zielonka's recursion: phase 0 removes the attractor of the
@@ -237,7 +236,7 @@ solve_parity(PyObject *self, PyObject *args, PyObject *kwargs)
     PyObject *result = NULL, *o_winner = NULL, *o_ch0 = NULL, *o_ch1 = NULL;
     Py_ssize_t m_succ, m_pred;
     int *owners, *prio, *succ_ptr, *succ, *pred_ptr, *pred;
-    int *alive, *live, *winner, *ch[2], *mark, *cnt, *stamp, *targets, *pool;
+    int *alive, *winner, *ch[2], *mark, *cnt, *stamp, *targets, *pool;
     Frame *frames;
     if (!(owners = read_ints(&b, o_owners, "owners", n, -1, NULL))
         || !(prio = read_ints(&b, o_prio, "priorities", n, -1, NULL))
@@ -245,16 +244,14 @@ solve_parity(PyObject *self, PyObject *args, PyObject *kwargs)
         || !(succ_ptr = read_ints(&b, o_succ_ptr, "succ_ptr", n + 1L, m_succ + 1, NULL))
         || !(pred = read_ints(&b, o_pred, "pred", 0, n, &m_pred))
         || !(pred_ptr = read_ints(&b, o_pred_ptr, "pred_ptr", n + 1L, m_pred + 1, NULL))
-        || !(alive = filled(&b, n, 1)) || !(live = filled(&b, n, 0))
-        || !(winner = filled(&b, n, -1)) || !(ch[0] = filled(&b, n, -1))
+        || !(alive = filled(&b, n, 1)) || !(winner = filled(&b, n, -1))
+        || !(ch[0] = filled(&b, n, -1))
         || !(ch[1] = filled(&b, n, -1)) || !(mark = filled(&b, n, 0))
         || !(cnt = filled(&b, n, 0)) || !(stamp = filled(&b, n, 0))
         || !(targets = filled(&b, n, 0)) || !(pool = filled(&b, n, 0))
         /* every pushed frame removes at least one state */
         || !(frames = grab(&b, n + 2L, sizeof(Frame))))
         goto done;
-    for (int s = 0; s < n; s++)
-        live[s] = succ_ptr[s + 1] - succ_ptr[s];
 
     /* The pool holds every removed state, one segment per active frame, and
      * its top is the number of removed states.  So the alive states, and
@@ -276,9 +273,10 @@ solve_parity(PyObject *self, PyObject *args, PyObject *kwargs)
             for (int s = 0; s < n; s++)
                 if (alive[s] && prio[s] == mp)
                     targets[tlen++] = s;
-            int seg = attract_run(owners, pred_ptr, pred, alive, live, exist, targets,
-                                  tlen, ++run, mark, cnt, stamp, ch[i], pool + pool_top);
-            set_alive(pred_ptr, pred, alive, live, pool + pool_top, seg, 0);
+            int seg = attract_run(owners, succ_ptr, succ, pred_ptr, pred, alive, exist,
+                                  targets, tlen, ++run, mark, cnt, stamp, ch[i],
+                                  pool + pool_top);
+            set_alive(alive, pool + pool_top, seg, 0);
             *f = (Frame){1, i, mp, pool_top, seg};
             pool_top += seg;
             frames[depth++].phase = 0;
@@ -288,7 +286,7 @@ solve_parity(PyObject *self, PyObject *args, PyObject *kwargs)
             for (int s = 0; s < n; s++)
                 if (alive[s] && winner[s] == opp)
                     targets[tlen++] = s;
-            set_alive(pred_ptr, pred, alive, live, segment, f->len, 1);
+            set_alive(alive, segment, f->len, 1);
             pool_top = f->start;
             if (tlen == 0) {
                 /* award the whole segment to player i */
@@ -306,18 +304,19 @@ solve_parity(PyObject *self, PyObject *args, PyObject *kwargs)
                 depth--;
             } else {
                 int exist[3] = {opp == 0, opp == 1, 0};
-                int seg = attract_run(owners, pred_ptr, pred, alive, live, exist, targets,
-                                      tlen, ++run, mark, cnt, stamp, ch[opp], segment);
+                int seg = attract_run(owners, succ_ptr, succ, pred_ptr, pred, alive, exist,
+                                      targets, tlen, ++run, mark, cnt, stamp, ch[opp],
+                                      segment);
                 for (int j = 0; j < seg; j++)
                     winner[segment[j]] = opp;
-                set_alive(pred_ptr, pred, alive, live, segment, seg, 0);
+                set_alive(alive, segment, seg, 0);
                 f->phase = 2;
                 f->len = seg;
                 pool_top += seg;
                 frames[depth++].phase = 0;
             }
         } else {
-            set_alive(pred_ptr, pred, alive, live, pool + f->start, f->len, 1);
+            set_alive(alive, pool + f->start, f->len, 1);
             pool_top = f->start;
             depth--;
         }
@@ -335,7 +334,7 @@ done:
 
 static PyMethodDef methods[] = {
     {"attract", (PyCFunction)(void (*)(void))attract, METH_VARARGS | METH_KEYWORDS,
-     "attract(n, owners, succ_ptr, pred_ptr, pred, targets, exist)\n"
+     "attract(n, owners, succ_ptr, succ, pred_ptr, pred, targets, exist)\n"
      "--\n\nBackward attractor of ``targets``; contract as ``pure.attract``."},
     {"solve_parity", (PyCFunction)(void (*)(void))solve_parity, METH_VARARGS | METH_KEYWORDS,
      "solve_parity(n, owners, priorities, succ_ptr, succ, pred_ptr, pred)\n"

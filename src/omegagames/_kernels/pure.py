@@ -4,36 +4,39 @@ This module and the C extension ``_core`` (``_core.c``) are twins, routine
 for routine: ``_attract_run`` and ``_set_alive`` mirror ``attract_run``
 and ``set_alive``, and both kernels break ties the same way, so their
 outputs are identical.  One of them is active per process, chosen through
-``_kernels.active()``.  Keep the two in sync.
+``_kernels.active()``.  Keep the two in sync.  Removing or restoring a
+state only flips its ``alive`` flag, and an attractor run counts a
+state's alive successors when it first reaches it.  Here the scans over
+the alive states and over a state's predecessors run inside C builtins
+(``itertools.compress``, slices) rather than interpreted index loops.
 """
 from __future__ import annotations
+
+from itertools import compress
 
 NAME = "python"
 
 
-def _attract_run(owners, pred_ptr, pred, alive, live, exist, targets, run,
+def _attract_run(owners, succ_ptr, succ, pred_ptr, pred, alive, exist, targets, run,
                  mark, cnt, stamp, choice):
     """Backward attractor run number ``run`` over the alive subgraph.
 
     A state of owner class ``o`` (0, 1, probabilistic) joins on its first
     attracted successor when ``exist[o]``, recording that successor in
-    ``choice``; otherwise once all its ``live`` alive successors are
-    attracted.  The alive targets not yet marked in this run seed the queue
-    in their given order.  Returns the attracted states in BFS order.
-    ``mark`` and ``stamp`` hold run numbers, so no per-run clearing is
-    needed.
+    ``choice``; otherwise once all its alive successors are attracted.
+    Those are counted from its ``succ`` row into ``cnt`` the first time
+    the run reaches it.  The alive targets not yet marked in this run seed
+    the queue in their given order.  Returns the attracted states in BFS
+    order.  ``mark`` and ``stamp`` hold run numbers, so no per-run
+    clearing is needed.
     """
     queue = []
     for t in targets:
         if alive[t] and mark[t] != run:
             mark[t] = run
             queue.append(t)
-    qi = 0
-    while qi < len(queue):
-        t = queue[qi]
-        qi += 1
-        for j in range(pred_ptr[t], pred_ptr[t + 1]):
-            s = pred[j]
+    for t in queue:
+        for s in pred[pred_ptr[t]:pred_ptr[t + 1]]:
             if not alive[s] or mark[s] == run:
                 continue
             o = owners[s]
@@ -44,7 +47,7 @@ def _attract_run(owners, pred_ptr, pred, alive, live, exist, targets, run,
             else:
                 if stamp[s] != run:
                     stamp[s] = run
-                    cnt[s] = live[s]
+                    cnt[s] = sum(map(alive.__getitem__, succ[succ_ptr[s]:succ_ptr[s + 1]]))
                 cnt[s] -= 1
                 if cnt[s] == 0:
                     mark[s] = run
@@ -52,17 +55,13 @@ def _attract_run(owners, pred_ptr, pred, alive, live, exist, targets, run,
     return queue
 
 
-def _set_alive(pred_ptr, pred, alive, live, states, on):
-    """Mark ``states`` dead (``on`` false) or alive again, keeping every
-    predecessor's count of alive successors."""
-    step = 1 if on else -1
+def _set_alive(alive, states, on):
+    """Mark ``states`` dead (``on`` false) or alive again."""
     for s in states:
         alive[s] = on
-        for j in range(pred_ptr[s], pred_ptr[s + 1]):
-            live[pred[j]] += step
 
 
-def attract(n, owners, succ_ptr, pred_ptr, pred, targets, exist):
+def attract(n, owners, succ_ptr, succ, pred_ptr, pred, targets, exist):
     """Backward attractor of ``targets`` over the whole game.
 
     ``exist[k]`` tells whether owner class ``k`` (0, 1, probabilistic)
@@ -72,9 +71,8 @@ def attract(n, owners, succ_ptr, pred_ptr, pred, targets, exist):
     order) and a choice array holding, for every attracted exist-class
     state, the successor that attracted it.
     """
-    live = [succ_ptr[s + 1] - succ_ptr[s] for s in range(n)]
     choice = [-1] * n
-    order = _attract_run(owners, pred_ptr, pred, [True] * n, live, exist, targets,
+    order = _attract_run(owners, succ_ptr, succ, pred_ptr, pred, [True] * n, exist, targets,
                          1, [0] * n, [0] * n, [0] * n, choice)
     return order, choice
 
@@ -87,9 +85,10 @@ def solve_parity(n, owners, priorities, succ_ptr, succ, pred_ptr, pred):
     inside their winning region.  2-player games only.
     """
     alive = [True] * n
-    live = [succ_ptr[s + 1] - succ_ptr[s] for s in range(n)]
     winner = [-1] * n
     choice = ([-1] * n, [-1] * n)
+    csr = (owners, succ_ptr, succ, pred_ptr, pred, alive)
+    states = range(n)
 
     # Attractor scratch, re-stamped per run to avoid O(n) clears.
     mark = [0] * n
@@ -103,27 +102,24 @@ def solve_parity(n, owners, priorities, succ_ptr, succ, pred_ptr, pred):
         frame = frames[-1]
         phase = frame[0]
         if phase == 0:
-            m = -1
-            for s in range(n):
-                if alive[s] and (m < 0 or priorities[s] < m):
-                    m = priorities[s]
-            if m < 0:
+            subgame = list(compress(states, alive))
+            if not subgame:
                 frames.pop()
                 continue
+            m = min([priorities[s] for s in subgame])
             i = m & 1
-            targets = [s for s in range(n) if alive[s] and priorities[s] == m]
+            targets = [s for s in subgame if priorities[s] == m]
             run += 1
             exist = (i == 0, i == 1, False)
-            region = _attract_run(owners, pred_ptr, pred, alive, live, exist, targets, run,
-                                  mark, cnt, stamp, choice[i])
-            _set_alive(pred_ptr, pred, alive, live, region, False)
+            region = _attract_run(*csr, exist, targets, run, mark, cnt, stamp, choice[i])
+            _set_alive(alive, region, False)
             frame[:] = [1, i, m, region]
             frames.append([0, -1, -1, None])
         elif phase == 1:
             i = frame[1]
             opp = 1 - i
-            rest = [s for s in range(n) if alive[s] and winner[s] == opp]
-            _set_alive(pred_ptr, pred, alive, live, frame[3], True)
+            rest = [s for s in compress(states, alive) if winner[s] == opp]
+            _set_alive(alive, frame[3], True)
             if not rest:
                 chi = choice[i]
                 for s in frame[3]:
@@ -139,15 +135,14 @@ def solve_parity(n, owners, priorities, succ_ptr, succ, pred_ptr, pred):
             else:
                 run += 1
                 exist = (opp == 0, opp == 1, False)
-                trap = _attract_run(owners, pred_ptr, pred, alive, live, exist, rest, run,
-                                    mark, cnt, stamp, choice[opp])
+                trap = _attract_run(*csr, exist, rest, run, mark, cnt, stamp, choice[opp])
                 for s in trap:
                     winner[s] = opp
-                _set_alive(pred_ptr, pred, alive, live, trap, False)
+                _set_alive(alive, trap, False)
                 frame[0] = 2
                 frame[3] = trap
                 frames.append([0, -1, -1, None])
         else:
-            _set_alive(pred_ptr, pred, alive, live, frame[3], True)
+            _set_alive(alive, frame[3], True)
             frames.pop()
     return winner, choice[0], choice[1]

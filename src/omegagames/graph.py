@@ -327,7 +327,7 @@ def attractor(
     )
     flat = g.flat
     order, choice = _kernels.active().attract(
-        flat.n, flat.owners, flat.succ_ptr, flat.pred_ptr, flat.pred, targets, exist
+        flat.n, flat.owners, flat.succ_ptr, flat.succ, flat.pred_ptr, flat.pred, targets, exist
     )
     region = frozenset(order)
     target_set = set(targets)

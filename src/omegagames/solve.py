@@ -35,19 +35,21 @@ def zielonka_solve(g: GameGraph, obj: Parity) -> tuple[Region, Region, Strategy,
             "the largest the fixpoint kernels hold"
         )
     flat = g.flat
-    winner, ch0, ch1 = _kernels.active().solve_parity(
+    winner, *choice = _kernels.active().solve_parity(
         flat.n, flat.owners, obj.priorities,
         flat.succ_ptr, flat.succ, flat.pred_ptr, flat.pred,
     )
-    w0 = frozenset(s for s in range(g.n) if winner[s] == 0)
-    w1 = frozenset(s for s in range(g.n) if winner[s] == 1)
-    s0 = Strategy.memoryless(
-        PLAYER0, {s: ch0[s] for s in w0 if g.owners[s] == PLAYER0}
+    won = ([], [])
+    chosen = ({}, {})
+    owners = g.owners
+    for s, w in enumerate(winner):
+        won[w].append(s)
+        if owners[s] == w:
+            chosen[w][s] = choice[w][s]
+    return (
+        Region(frozenset(won[0])), Region(frozenset(won[1])),
+        Strategy.memoryless(PLAYER0, chosen[0]), Strategy.memoryless(PLAYER1, chosen[1]),
     )
-    s1 = Strategy.memoryless(
-        PLAYER1, {s: ch1[s] for s in w1 if g.owners[s] == PLAYER1}
-    )
-    return Region(w0), Region(w1), s0, s1
 
 
 def cooperative_region(g: GameGraph, obj: Objective) -> Region:
@@ -79,7 +81,7 @@ def cooperative_region(g: GameGraph, obj: Objective) -> Region:
         return Region(frozenset())
     flat = g.flat
     order, _ = _kernels.active().attract(
-        flat.n, flat.owners, flat.succ_ptr, flat.pred_ptr, flat.pred,
+        flat.n, flat.owners, flat.succ_ptr, flat.succ, flat.pred_ptr, flat.pred,
         sorted(targets), (True, True, True),
     )
     return Region(frozenset(order))
