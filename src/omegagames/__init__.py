@@ -45,7 +45,6 @@ from .solve import (
 from .strategies import Region, Strategy
 from .synthesis import (
     Assumption,
-    FairGame,
     SynthesisGame,
     Transducer,
     apply_fairness,
@@ -65,7 +64,6 @@ __all__ = [
     "BenchSpec",
     "DetParityAutomaton",
     "EXISTENTIAL",
-    "FairGame",
     "GameGraph",
     "Lasso",
     "OmegagamesError",

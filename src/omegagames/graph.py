@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence, get_args
 from . import _kernels
 from .errors import DeadEndCreated, InvalidGame, RandomSupportBroken
 from .objectives import Parity
-from .strategies import Strategy
+from .strategies import MEMORYLESS, Strategy
 
 PLAYER0 = 0
 PLAYER1 = 1
@@ -332,11 +332,11 @@ def attractor(
     region = frozenset(order)
     target_set = set(targets)
     choices = {
-        s: choice[s]
+        (MEMORYLESS, s): choice[s]
         for s in order
         if s not in target_set and g.owners[s] == player and choice[s] >= 0
     }
-    return region, Strategy.memoryless(player, choices)
+    return region, Strategy(player, choices=choices)
 
 
 @dataclass(frozen=True)

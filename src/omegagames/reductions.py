@@ -16,7 +16,7 @@ from typing import Iterable, Optional
 from .errors import UndefinedOnRegion
 from .graph import PLAYER0, PLAYER1, PROBABILISTIC, GameGraph, check_objective, explore
 from .objectives import Objective, Parity, Rabin, Streett, complement
-from .strategies import Strategy
+from .strategies import MEMORYLESS, Strategy
 
 
 @dataclass(frozen=True)
@@ -220,8 +220,8 @@ def pullback_strategy(
     if res.kind != "lar":
         # announcement states are player 0's but not the player's
         mem = reduced_strategy.memory_initial
-        out = Strategy.memoryless(player, {
-            s: t
+        out = Strategy(player, choices={
+            (MEMORYLESS, s): t
             for (m, s), t in reduced_strategy.choices.items()
             if m == mem and s < source.n and source.owners[s] == player
         })

@@ -14,7 +14,7 @@ from .errors import NotDeterministicGame, TooLarge
 from .graph import PLAYER0, PLAYER1, GameGraph, _tarjan, check_objective
 from .objectives import Objective, Parity, Rabin, Streett, complement
 from .reductions import dual_game, pullback_strategy, reduction_chain
-from .strategies import Region, Strategy
+from .strategies import MEMORYLESS, Region, Strategy
 
 ORACLE_STATE_BOUND = 10
 KERNEL_PRIORITY_BOUND = 2**31 - 1  # the compiled kernel holds priorities in C ints
@@ -45,10 +45,10 @@ def zielonka_solve(g: GameGraph, obj: Parity) -> tuple[Region, Region, Strategy,
     for s, w in enumerate(winner):
         won[w].append(s)
         if owners[s] == w:
-            chosen[w][s] = choice[w][s]
+            chosen[w][(MEMORYLESS, s)] = choice[w][s]
     return (
         Region(frozenset(won[0])), Region(frozenset(won[1])),
-        Strategy.memoryless(PLAYER0, chosen[0]), Strategy.memoryless(PLAYER1, chosen[1]),
+        Strategy(PLAYER0, choices=chosen[0]), Strategy(PLAYER1, choices=chosen[1]),
     )
 
 

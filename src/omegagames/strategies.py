@@ -4,8 +4,9 @@ A strategy couples a finite memory automaton with a choice function.  The
 play convention is Mealy-style: visiting states ``s0 s1 ...`` with memory
 values ``m0 m1 ...``, the choice at ``s_k`` is taken with memory ``m_k``
 and only afterwards does the memory update with ``s_k`` (so
-``m_{k+1} = update(m_k, s_k)``).  Memoryless strategies have a single
-memory value and an identity update.
+``m_{k+1} = update(m_k, s_k)``).  Memoryless strategies have the single
+memory value ``MEMORYLESS``, no updates, and choices keyed
+``(MEMORYLESS, state)``.
 """
 from __future__ import annotations
 
@@ -21,14 +22,6 @@ class Strategy:
     memory_initial: Hashable = MEMORYLESS
     choices: Mapping = field(default_factory=dict)  # (memory, state) -> successor
     updates: Mapping = field(default_factory=dict)  # (memory, state) -> memory; missing = unchanged
-
-    @classmethod
-    def memoryless(cls, player: int, choices: Mapping[int, int]) -> "Strategy":
-        return cls(
-            player=player,
-            memory_initial=MEMORYLESS,
-            choices={(MEMORYLESS, s): t for s, t in choices.items()},
-        )
 
     @property
     def is_memoryless(self) -> bool:

@@ -6,15 +6,17 @@ with an output letter).  When the game is lost, a minimal set of forbidden
 environment edges (safety assumption) and a locally minimal set of fair
 environment edges (strong transition fairness, checked through a
 2.5-player game) repair the specification; the result is exported as a
-Streett automaton, and a winning strategy yields the implementing Mealy
-machine.  ``SynthesisGame.repair`` stages that sequence and computes each
-stage once, on first use.
+Streett automaton.  The 2.5-player game is again a ``SynthesisGame``, with
+probabilistic fairness wrappers after its choice states; a memoryless
+winning strategy on it yields the implementing Mealy machine.
+``SynthesisGame.repair`` stages that sequence and computes each stage once,
+on first use.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 from .automata import DetParityAutomaton, PropAlphabet, StreettAutomaton
 from .errors import (
@@ -39,7 +41,11 @@ class SynthesisGame:
     States 0..n_env-1 are the environment copies of the automaton states
     (player 1); state ``n_env + q * n_inputs + i`` is the system choice
     state entered when the environment plays input ``i`` at ``q``
-    (player 0, neutral priority).
+    (player 0, neutral priority).  States past the choice states, if any,
+    are the probabilistic fairness wrappers ``apply_fairness`` adds: the
+    first successor of a wrapper is the environment state it wraps, and
+    every edge into that state (and the initial designation) leads to the
+    wrapper instead.
     """
 
     graph: GameGraph
@@ -57,6 +63,11 @@ class SynthesisGame:
     @cached_property
     def n_inputs(self) -> int:
         return self.alphabet.n_inputs
+
+    @cached_property
+    def cooperative(self) -> frozenset[int]:
+        """States from which a cooperating environment lets the system win."""
+        return cooperative_region(self.graph, self.parity).states
 
     def choice_index(self, q: int, i: int) -> int:
         return self.n_env + q * self.n_inputs + i
@@ -148,22 +159,6 @@ class Assumption:
         )
 
 
-@dataclass(frozen=True)
-class FairGame:
-    """A synthesis game with fairness wrappers: the 2.5-player encoding.
-
-    Every environment state with fair outgoing edges gets a probabilistic
-    wrapper that uniformly either releases the environment (back to the
-    state itself) or forces one of the fair edges; all edges into the state
-    are redirected to the wrapper.
-    """
-
-    graph: GameGraph
-    parity: Parity
-    sg: SynthesisGame
-    wrapper_of: dict[int, int]  # wrapper index -> wrapped env state
-
-
 def dpa_to_synthesis_game(aut: DetParityAutomaton) -> SynthesisGame:
     """Split a specification automaton into the synthesis game.
 
@@ -209,7 +204,7 @@ def compute_safety_assumption(sg: SynthesisGame) -> tuple[Assumption, SynthesisG
     Raises ``SpecUnsatisfiable`` when even full cooperation cannot satisfy
     the specification from the initial state.
     """
-    coop = cooperative_region(sg.graph, sg.parity).states
+    coop = sg.cooperative
     if sg.graph.initial not in coop:
         raise SpecUnsatisfiable(
             "the specification cannot be satisfied even with a cooperating environment"
@@ -223,23 +218,24 @@ def compute_safety_assumption(sg: SynthesisGame) -> tuple[Assumption, SynthesisG
     return Assumption(safety, frozenset()), safe
 
 
-def apply_fairness(sg: SynthesisGame, fair: Iterable[EnvEdge]) -> FairGame:
+def apply_fairness(sg: SynthesisGame, fair: Iterable[EnvEdge]) -> SynthesisGame:
     """Encode strong transition fairness probabilistically.
 
     For each environment state with fair edges, a uniform probabilistic
-    wrapper over the state itself and the fair edges' targets intercepts
-    every incoming edge (and the initial-state designation).
+    wrapper over the state itself (first) and the fair edges' targets is
+    appended after the choice states and intercepts every incoming edge
+    (and the initial-state designation).  Without fair edges the game is
+    returned as it is.
     """
     fair = sorted(set(fair))
     g = sg.graph
     if not fair:
-        return FairGame(g, sg.parity, sg, {})
+        return sg
     sg._check_env_edges(fair)
     by_state: dict[int, list[int]] = {}
     for q, i in fair:
         by_state.setdefault(q, []).append(i)
     wrapped = {q: g.n + k for k, q in enumerate(by_state)}
-    wrapper_of = {idx: q for q, idx in wrapped.items()}
 
     succ = [
         ss if wrapped.keys().isdisjoint(ss) else tuple([wrapped.get(t, t) for t in ss])
@@ -254,7 +250,7 @@ def apply_fairness(sg: SynthesisGame, fair: Iterable[EnvEdge]) -> FairGame:
     owners = g.owners + (PROBABILISTIC,) * len(by_state)
     initial = wrapped.get(g.initial, g.initial)
     graph = GameGraph(owners, tuple(succ), {}, tuple(labels), initial)
-    return FairGame(graph, Parity(tuple(prios)), sg, wrapper_of)
+    return SynthesisGame(graph, Parity(tuple(prios)), sg.automaton)
 
 
 def check_sufficiency(sg: SynthesisGame, asm: Assumption) -> bool:
@@ -316,7 +312,7 @@ def assumption_to_streett_automaton(sg: SynthesisGame, asm: Assumption) -> Stree
     sending every run through the rejecting sink to rejection.
     """
     alpha = sg.alphabet
-    coop = cooperative_region(sg.graph, sg.parity).states
+    coop = sg.cooperative
     fair = sorted(asm.fair_edges)
     safety = asm.safety_edges
 
@@ -442,64 +438,46 @@ def _minimize_mealy(moves, initial):
     return tuple(out_moves), remap[cls[initial]]
 
 
-def extract_transducer(
-    game: Union[SynthesisGame, FairGame], strategy: Strategy
-) -> Transducer:
-    """Mealy machine read off a winning strategy.
+def extract_transducer(sg: SynthesisGame, strategy: Strategy) -> Transducer:
+    """Mealy machine read off a memoryless winning strategy.
 
-    Walks the environment states reachable under the strategy; fairness
-    wrappers are transparent (they make no choices).  Inputs the assumption
-    forbids get the strategy's answer when it has one and the least output
-    letter otherwise.  The result is quotiented by Mealy equivalence.
+    Walks the environment states reachable under the strategy; a fairness
+    wrapper stands for the state it wraps, its first successor.  Inputs the
+    assumption forbids get the strategy's answer when it has one and the
+    least output letter otherwise.  The result is quotiented by Mealy
+    equivalence.  A strategy with memory raises ``ValueError``.
     """
-    if isinstance(game, FairGame):
-        sg = game.sg
-        graph = game.graph
-        wrapper_of = game.wrapper_of
-    else:
-        sg = game
-        graph = game.graph
-        wrapper_of = {}
+    if not strategy.is_memoryless:
+        raise ValueError("transducer extraction expects a memoryless strategy")
+    graph = sg.graph
     alpha = sg.alphabet
     if graph.initial is None:
         raise ValueError("transducer extraction needs an initial state")
-    m0 = strategy.memory_initial
-    if graph.initial in wrapper_of:
-        start = (wrapper_of[graph.initial], strategy.update(m0, graph.initial), True)
-    else:
-        start = (graph.initial, m0, True)
+
+    def unwrap(x):
+        return graph.succ[x][0] if graph.owners[x] == PROBABILISTIC else x
 
     def expand(key, intern):
-        q, m, live = key
-        m_c = strategy.update(m, q)
+        q, live = key
         row = []
-        env_targets = set(graph.succ[q])
         for i in range(alpha.n_inputs):
             c = sg.choice_index(q, i)
-            allowed = c in env_targets
-            x = strategy.choice(c, m_c) if live else None
+            x = strategy.choice(c) if live else None
             if x is not None:
-                q2 = wrapper_of.get(x, x)
-                m_next = strategy.update(m_c, c)
-                if x in wrapper_of:
-                    m_next = strategy.update(m_next, x)
-                o = next(
-                    o for o in range(alpha.n_outputs) if sg.automaton.step(q, i, o) == q2
-                )
-                nxt = (q2, m_next, True)
-            elif live and allowed:
-                raise StrategyIncomplete(
-                    f"no choice at state {c} ({graph.label(c)}) under memory {m_c!r}"
-                )
+                q2 = unwrap(x)
+                o = next(o for o in range(alpha.n_outputs) if sg.automaton.step(q, i, o) == q2)
+                nxt = (q2, True)
+            elif live and c in graph.succ[q]:
+                raise StrategyIncomplete(f"no choice at state {c} ({graph.label(c)})")
             else:
                 # input the assumption forbids (or a don't-care successor of
                 # one): answer with the least output letter
                 o = 0
-                nxt = (sg.automaton.step(q, i, o), m_c, False)
+                nxt = (sg.automaton.step(q, i, o), False)
             row.append((o, intern(nxt)))
         return tuple(row)
 
-    _, moves = explore([start], expand)
+    _, moves = explore([(unwrap(graph.initial), True)], expand)
     minimized, initial = _minimize_mealy(tuple(moves), 0)
     return Transducer(alphabet=alpha, initial=initial, moves=minimized)
 
@@ -526,7 +504,8 @@ class Repair:
 
     @cached_property
     def transducer(self) -> Transducer:
-        """A system that wins the fairness-wrapped safe game almost surely."""
+        """A system that wins the fairness-wrapped safe game almost surely,
+        read off the memoryless strategy ``almost_sure_solve`` returns."""
         fg = apply_fairness(self.safe, self.assumption.fair_edges)
         _, strategy = almost_sure_solve(fg.graph, fg.parity, PLAYER0)
         return extract_transducer(fg, strategy)

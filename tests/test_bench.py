@@ -183,6 +183,18 @@ def test_perfbench_span_targets_resolve():
         assert hasattr(importlib.import_module(module_name), attr), f"{module_name}.{attr}"
 
 
+def test_public_names_resolve():
+    """Every name the package exports exists, so a star import succeeds and
+    removing a definition without its ``__all__`` entry fails here."""
+    import omegagames
+
+    missing = [name for name in omegagames.__all__ if not hasattr(omegagames, name)]
+    assert not missing
+    namespace = {}
+    exec("from omegagames import *", namespace)
+    assert set(omegagames.__all__) <= namespace.keys()
+
+
 def test_perfbench_certifier_tests_pass():
     """The benchmark's certificate checkers accept the program's regions and
     strategies.  The file pins ``OMEGAGAMES_BACKEND`` on import, so it runs

@@ -6,10 +6,12 @@ locally minimal fairness, sufficiency, assumption automaton, transducer.
 Every property the worked examples pin down is asserted here in the
 general case.
 """
+import hashlib
 import itertools
 
 import pytest
 
+from omegagames import _kernels
 from omegagames.automata import DetParityAutomaton, PropAlphabet
 from omegagames.benchgen import SplitMix64
 from omegagames.errors import NoFairnessAssumptionExists, SpecUnsatisfiable
@@ -187,3 +189,45 @@ def test_assumption_automaton_on_random_specs_is_deterministic_and_total():
         for request, response in sa.pairs:
             assert request <= set(range(sa.n))
             assert response <= set(range(sa.n))
+
+
+# sha256 of the pipeline outputs below, computed at 88981ec
+_PINNED_REPAIR_DIGEST = "b0158fe8f5086d157fa9cadd22d5da127f4077265ae258ea13b323f6593e7ec8"
+
+
+def _repair_record(aut):
+    """Realizability, the repair's edge sets, Streett automaton and both
+    transducers of one spec (or the class name of the exception that ends it)."""
+    sg = dpa_to_synthesis_game(aut)
+    realizable, _ = check_realizability(sg)
+    record = [realizable]
+    try:
+        safety, safe = compute_safety_assumption(sg)
+        record.append(sorted(safety.safety_edges))
+        fair = minimize_fairness(safe).fair_edges
+    except (SpecUnsatisfiable, NoFairnessAssumptionExists) as exc:
+        return record + [type(exc).__name__]
+    record.append(sorted(fair))
+    sa = assumption_to_streett_automaton(sg, Assumption(safety.safety_edges, fair))
+    record += [sa.delta, [(sorted(q), sorted(r)) for q, r in sa.pairs], sa.initial]
+    if fair:
+        fg = apply_fairness(safe, fair)
+        _, witness = almost_sure_solve(fg.graph, fg.parity, 0)
+        transducer = extract_transducer(fg, witness)
+    else:
+        _, witness = check_realizability(safe)
+        transducer = extract_transducer(safe, witness)
+    for t in (transducer, sg.repair.transducer):
+        record += [t.moves, t.initial]
+    return record
+
+
+def test_repair_outputs_match_pinned_digest(kernel_name):
+    """Every stage of the repair returns exactly what it returned before the
+    fairness-wrapped game became a ``SynthesisGame``: the property test
+    above checks the stages against each other, not against a fixed answer."""
+    h = hashlib.sha256()
+    with _kernels.using(kernel_name):
+        for aut in pipeline_cases():
+            h.update(repr(_repair_record(aut)).encode())
+    assert h.hexdigest() == _PINNED_REPAIR_DIGEST

@@ -18,7 +18,7 @@ from omegagames.reductions import (
     reduction_chain,
 )
 from omegagames.solve import zielonka_solve
-from omegagames.strategies import Strategy
+from omegagames.strategies import MEMORYLESS, Strategy
 
 from .conftest import sample_game, sample_lasso, sample_pairs, sample_parity
 
@@ -81,7 +81,7 @@ def test_lar_single_color_memory_collapses():
     g = build_game([(PLAYER0, [1]), (PLAYER0, [0])])
     res = lar_reduce(g, Streett([({0, 1}, {0, 1})]))
     assert res.game.n == g.n  # one pair, one record
-    strat = pullback_strategy(res, Strategy.memoryless(0, {0: 1, 1: 0}))
+    strat = pullback_strategy(res, Strategy(0, choices={(MEMORYLESS, 0): 1, (MEMORYLESS, 1): 0}))
     assert strat.memory_size == 1
 
 
@@ -211,7 +211,7 @@ def test_product_of_the_dual_is_the_dual_of_the_product():
 def test_pullback_identity_reduction():
     g = build_game([(PLAYER0, [1]), (PLAYER1, [0])], initial=0)
     res = reduce_stochastic_parity(g, Parity((0, 1)))
-    strat = Strategy.memoryless(0, {0: 1})
+    strat = Strategy(0, choices={(MEMORYLESS, 0): 1})
     back = pullback_strategy(res, strat)
     assert back.choices == strat.choices
 
@@ -231,4 +231,4 @@ def test_pullback_require_reports_missing_states():
     g = build_game([(PLAYER0, [1]), (PLAYER1, [0])], initial=0)
     res = reduce_stochastic_parity(g, Parity((0, 1)))
     with pytest.raises(UndefinedOnRegion):
-        pullback_strategy(res, Strategy.memoryless(0, {}), require=[0])
+        pullback_strategy(res, Strategy(0), require=[0])

@@ -17,7 +17,7 @@ from omegagames.errors import (
 )
 from omegagames.graph import PLAYER0, PLAYER1, PROBABILISTIC
 from omegagames.solve import almost_sure_solve, cooperative_region
-from omegagames.strategies import Strategy
+from omegagames.strategies import MEMORYLESS, Strategy
 from omegagames.synthesis import (
     Assumption,
     apply_fairness,
@@ -233,7 +233,7 @@ def test_repeated_grant_wrapper_construction(repeated_grant):
 
 def test_apply_fairness_empty_is_identity(repeated_grant):
     fg = apply_fairness(repeated_grant, set())
-    assert fg.graph is repeated_grant.graph
+    assert fg is repeated_grant
 
 
 def test_apply_fairness_collapse_isomorphism(repeated_grant):
@@ -241,14 +241,21 @@ def test_apply_fairness_collapse_isomorphism(repeated_grant):
     fair = {(0, 0), (1, 1), (2, 0)}
     fg = apply_fairness(repeated_grant, fair)
     n = repeated_grant.graph.n
-    collapse = {idx: fg.wrapper_of.get(idx, idx) for idx in range(fg.graph.n)}
+    wrapper_of = {
+        w: fg.graph.succ[w][0] for w in range(n, fg.graph.n)
+        if fg.graph.owners[w] == PROBABILISTIC
+    }
+    assert len(wrapper_of) == fg.graph.n - n == len({q for q, _i in fair})
+    collapse = {idx: wrapper_of.get(idx, idx) for idx in range(fg.graph.n)}
     for s in range(n):
         mapped = [collapse[t] for t in fg.graph.succ[s]]
         assert mapped == list(repeated_grant.graph.succ[s])
-    for wrapper, q in fg.wrapper_of.items():
-        support = {collapse[t] for t in fg.graph.support(wrapper)}
-        # the wrapper points at its state plus the fair targets
-        assert q in support
+    for wrapper, q in wrapper_of.items():
+        # the wrapper's first successor is its state, the rest the fair targets
+        assert q < repeated_grant.n_env
+        assert fg.graph.succ[wrapper] == (
+            q, *(repeated_grant.choice_index(q, i) for q2, i in sorted(fair) if q2 == q)
+        )
 
 
 def test_apply_fairness_rejects_foreign_edges(repeated_grant):
@@ -472,6 +479,11 @@ def test_memoryless_strategy_bounds_transducer_size(request_grant):
     # a memoryless strategy cannot need more than one transducer state per
     # environment state (plus don't-care tracking collapses on minimization)
     assert t.n <= safe.n_env
+    # the walk reads one choice per state: the same choices under a memory
+    # that changes are refused
+    with_memory = Strategy(PLAYER0, choices=strategy.choices, updates={(MEMORYLESS, 0): 1})
+    with pytest.raises(ValueError, match="memoryless"):
+        extract_transducer(safe, with_memory)
 
 
 def test_forbidding_every_initial_edge_deadlocks_the_environment(repeated_grant):
@@ -483,7 +495,7 @@ def test_forbidding_every_initial_edge_deadlocks_the_environment(repeated_grant)
 
 def test_transducer_of_an_empty_strategy_is_incomplete(repeated_grant):
     with pytest.raises(StrategyIncomplete):
-        extract_transducer(repeated_grant, Strategy.memoryless(PLAYER0, {}))
+        extract_transducer(repeated_grant, Strategy(PLAYER0))
 
 
 def test_repair_safety_stage_never_runs_the_fairness_search(monkeypatch, capsys):
