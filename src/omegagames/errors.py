@@ -39,8 +39,9 @@ class NotDeterministicGame(OmegagamesError):
 
 
 class TooLarge(OmegagamesError):
-    """An input exceeds a solver's bound: the enumeration oracle's state
-    bound, or a priority the fixpoint kernels cannot hold (above 2**31 - 1)."""
+    """An input exceeds a bound: the enumeration oracle's state bound, a
+    priority the fixpoint kernels cannot hold (above 2**31 - 1), or a parity
+    objective needing more GOAL accSets than 2 per state plus 64."""
 
 
 class UndefinedOnRegion(OmegagamesError):

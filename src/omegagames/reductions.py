@@ -107,38 +107,70 @@ def lar_reduce(g: GameGraph, obj: Streett | Rabin) -> ReductionResult:
     record *before* the visit, so there are at most n*k! of them; the
     distinguished copies (state, initial record) are the search's roots, so
     they occupy indices 0..n-1.
+
+    A visit's priority and next record depend only on the record and the
+    state's colour, a bit mask with bit 2i set when pair i's Q holds the
+    state and bit 2i+1 when its R does; each (record, colour) pair met is
+    worked out once.  Records are numbered as they appear, the initial one
+    0, and the search key of product state (s, record number r) is
+    ``r * n + s``.
     """
     check_objective(g, obj, Streett | Rabin)
+    n = g.n
     npairs = len(obj.pairs)
-    in_q: list[list[int]] = [[] for _ in range(g.n)]
-    in_r: list[list[int]] = [[] for _ in range(g.n)]
+    colour = [0] * n
     for i, (q, r) in enumerate(obj.pairs):
         for s in q:
-            in_q[s].append(i)
+            colour[s] |= 1 << 2 * i
         for s in r:
-            in_r[s].append(i)
+            colour[s] |= 2 << 2 * i
+    ncol = 4**npairs
     shift = 0 if isinstance(obj, Rabin) else 1
     flip_base = 2 * npairs + 2  # even, and no record priority exceeds it
-    r_init = tuple(range(npairs))
+    records = [tuple(range(npairs))]
+    rec_id = {records[0]: 0}
+    visits: dict = {}  # rid * ncol + colour -> (priority, next rid * n)
+
+    def visit(rid, mask):
+        e = f = 0
+        hit = []
+        rest = []
+        for pos, i in enumerate(records[rid], 1):
+            bits = mask >> 2 * i
+            if bits & 1:
+                e = pos
+            if bits & 2:
+                f = pos
+                hit.append(i)
+            else:
+                rest.append(i)
+        rec = tuple(hit + rest)
+        nid = rec_id.get(rec)
+        if nid is None:
+            nid = rec_id[rec] = len(records)
+            records.append(rec)
+        return flip_base - (2 * e if e > f else 2 * f + 1) - shift, nid * n
 
     prios: list[int] = []
+    succ = g.succ
 
     def expand(key, intern):
-        s, rec = key
-        hit = in_r[s]
-        f = max((rec.index(i) + 1 for i in hit), default=0)
-        e = max((rec.index(i) + 1 for i in in_q[s]), default=0)
-        prios.append(flip_base - (2 * e if e > f else 2 * f + 1) - shift)
-        if hit:
-            rec = tuple(i for i in rec if i in hit) + tuple(i for i in rec if i not in hit)
-        return tuple([intern((t, rec)) for t in g.succ[s]])
+        rid, s = divmod(key, n)
+        mask = colour[s]
+        got = visits.get(rid * ncol + mask)
+        if got is None:
+            got = visits[rid * ncol + mask] = visit(rid, mask)
+        prio, base = got
+        prios.append(prio)
+        return tuple([intern(base + t) for t in succ[s]])
 
-    index, succ_out = explore([(s, r_init) for s in range(g.n)], expand)
-    origin = tuple([s for s, _rec in index])
-    memory = tuple([rec for _s, rec in index])
-    owners = tuple([g.owners[s] for s in origin])
-    weights = {idx: g.given_weights[s] for idx, s in enumerate(origin) if s in g.given_weights}
-    labels = tuple([g.label(s) for s in origin])
+    index, succ_out = explore(range(n), expand)
+    origin = tuple([key % n for key in index])
+    memory = tuple([records[key // n] for key in index])
+    owners = tuple(map(g.owners.__getitem__, origin))
+    given = g.given_weights
+    weights = {idx: given[s] for idx, s in enumerate(origin) if s in given}
+    labels = tuple(map(g.labels.__getitem__, origin)) if g.labels else (None,) * len(origin)
     product = GameGraph(owners, tuple(succ_out), weights, labels, g.initial)
     return ReductionResult(g, product, Parity(tuple(prios)), origin, memory, kind="lar")
 
@@ -228,19 +260,20 @@ def pullback_strategy(
     else:
         origin = res.origin_map
         memory = res.memory_map
+        owners = source.owners
+        reduced = reduced_strategy.choices
+        mem = reduced_strategy.memory_initial
         choices = {}
         updates = {}
-        for idx in range(res.game.n):
+        for idx, succ in enumerate(res.game.succ):
             s = origin[idx]
             rec = memory[idx]
-            succ = res.game.succ[idx]
             if succ:
                 updates[(rec, s)] = memory[succ[0]]
-            if source.owners[s] != player:
-                continue
-            t = reduced_strategy.choice(idx)
-            if t is not None:
-                choices[(rec, s)] = origin[t]
+            if owners[s] == player:
+                t = reduced.get((mem, idx))
+                if t is not None:
+                    choices[(rec, s)] = origin[t]
         r_init = memory[0] if memory else ()
         out = Strategy(
             player=player,

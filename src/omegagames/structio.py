@@ -29,6 +29,7 @@ from .errors import (
     LabelSyntaxError,
     SchemaError,
     StructureSyntaxError,
+    TooLarge,
     UnknownProp,
 )
 from .graph import PLAYER0, PLAYER1, PROBABILISTIC, GameGraph, build_game, check_objective
@@ -405,8 +406,16 @@ def write_structure(doc: StructureDocument) -> str:
 
 def _encode_objective(obj: Objective, n: int) -> tuple[str, list]:
     """Acceptance type and accSets of an objective over states 0..n-1:
-    one plain set per parity value, one (E, F) block per pair."""
+    one plain set per parity value, one (E, F) block per pair.  A parity
+    objective needing more than ``2 * n + 64`` accSets (sparse, huge
+    priorities) raises ``TooLarge`` before any set is allocated."""
     if isinstance(obj, Parity):
+        bound = 2 * n + 64
+        if obj.max_priority >= bound:
+            raise TooLarge(
+                f"priority {obj.max_priority} needs {obj.max_priority + 1} accSets, "
+                f"more than {bound} (2 per state plus 64) for {n} states"
+            )
         acc_sets = [[] for _ in range(obj.max_priority + 1)]
         for s in range(n):
             acc_sets[obj.priorities[s]].append(s)

@@ -92,6 +92,40 @@ def test_bad_backend_variable_is_input_error():
     assert "Traceback" not in proc.stderr
 
 
+# Runs the CLI with its address space capped at 512 MB, so an allocation
+# that grows with a priority value fails fast instead of filling the machine.
+CAPPED_CLI = """
+import resource, sys
+cap = 512 << 20
+_, hard = resource.getrlimit(resource.RLIMIT_AS)
+resource.setrlimit(resource.RLIMIT_AS, (cap if hard == resource.RLIM_INFINITY else min(cap, hard), hard))
+from omegagames.cli import cli_main
+sys.exit(cli_main(sys.argv[1:]))
+"""
+
+
+def test_sparse_huge_priority_converts_to_typed_error(tmp_path):
+    """A 44-byte PGSolver file with priority 10**8 would need 10**8 + 1 GOAL
+    accSets: ``convert --to goal`` refuses it before allocating them, while
+    ``solve`` answers at once."""
+    path = tmp_path / "sparse.gm"
+    path.write_text("parity 100000000;\n0 100000000 0 1;\n1 0 1 0;\n", encoding="utf-8")
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-c", CAPPED_CLI, *argv],
+            capture_output=True, text=True, env=child_env(), timeout=60,
+        )
+
+    proc = run("convert", str(path), "--to", "goal", "-o", str(tmp_path / "sparse.xml"))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: priority 100000000 needs 100000001 accSets")
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "sparse.xml").exists()
+    proc = run("solve", str(path), "--player", "0")
+    assert (proc.returncode, proc.stdout) == (0, "winningRegion 0 = {0, 1}\n"), proc.stderr
+
+
 def test_malformed_file_is_input_error(workdir, capsys):
     (workdir / "bad.xml").write_text("<structure", encoding="utf-8")
     assert cli_main(["solve", "bad.xml", "--player", "0"]) == 2

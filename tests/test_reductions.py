@@ -1,9 +1,11 @@
 """Reductions: the probabilistic-state gadget, the record product, pullbacks."""
+import hashlib
 import itertools
 from math import factorial
 
 import pytest
 
+from omegagames import _kernels
 from omegagames.benchgen import SplitMix64
 from omegagames.errors import UndefinedOnRegion
 from omegagames.graph import PLAYER0, PLAYER1, PROBABILISTIC, build_game, validate_game
@@ -17,7 +19,7 @@ from omegagames.reductions import (
     reduce_stochastic_parity,
     reduction_chain,
 )
-from omegagames.solve import zielonka_solve
+from omegagames.solve import almost_sure_solve, zielonka_solve
 from omegagames.strategies import MEMORYLESS, Strategy
 
 from .conftest import sample_game, sample_lasso, sample_pairs, sample_parity
@@ -137,6 +139,56 @@ def test_lar_one_pair_is_memoryless():
             if g.is_two_player:
                 for strategy in zielonka_solve(res.game, res.parity)[2:]:
                     assert pullback_strategy(res, strategy).memory_size == 1
+
+
+RECORD_PRODUCTS_DIGEST = "18f05082b4c5ce244e5aef06e8adcdc86e2c081118e5205d222133880b063d24"
+
+
+def test_record_products_match_pinned_digest(kernel_name):
+    """Record products and the strategies pulled back through them are
+    pinned byte for byte: 200 seeded Streett and Rabin games of 2-40
+    states with 0-4 pairs, 2- and 2.5-player, some labelled and some with
+    given weights.  The digest covers the product's owners, successors,
+    labels, weights, initial state, priorities and both maps, and both
+    players' almost-sure strategies (initial memory, choices and updates,
+    in order)."""
+    rng = SplitMix64(0xD16E57)
+    digest = hashlib.sha256()
+    with _kernels.using(kernel_name):
+        for trial in range(200):
+            n = 2 + rng.below(39)
+            owners = (PLAYER0, PLAYER1, PROBABILISTIC)[: 2 + trial % 2]
+            states = []
+            for s in range(n):
+                targets = sorted({rng.below(n) for _ in range(1 + rng.below(3))})
+                entry = (owners[rng.below(len(owners))], targets)
+                states.append(entry + (f"s{s}",) if trial % 3 == 0 else entry)
+            weights = {}
+            if trial % 4 == 3:
+                weights = {
+                    s: [1 + rng.below(3) for _ in targets]
+                    for s, (owner, targets, *_) in enumerate(states)
+                    if owner == PROBABILISTIC
+                }
+            g = build_game(states, initial=rng.below(n), weights=weights)
+            pairs = [
+                ({s for s in range(n) if rng.below(4) == 0}, {s for s in range(n) if rng.below(4) == 0})
+                for _ in range(rng.below(5))
+            ]
+            obj = (Streett if trial % 4 < 2 else Rabin)(pairs)
+            res = lar_reduce(g, obj)
+            p = res.game
+            digest.update(repr((
+                p.owners, p.succ, p.labels, list(p.given_weights.items()), p.initial,
+                res.parity.priorities, res.origin_map, res.memory_map,
+            )).encode())
+            for player in (PLAYER0, PLAYER1):
+                _, strategy = almost_sure_solve(g, obj, player)
+                digest.update(repr((
+                    strategy.memory_initial, list(strategy.choices.items()),
+                    list(strategy.updates.items()),
+                )).encode())
+    assert digest.hexdigest() == RECORD_PRODUCTS_DIGEST
 
 
 def test_lar_lasso_equivalence_exhaustive_two_states():
