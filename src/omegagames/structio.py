@@ -17,8 +17,10 @@ from __future__ import annotations
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 from xml.parsers.expat import ErrorString
 from xml.sax.saxutils import escape
 
@@ -64,21 +66,20 @@ def _is_pair_set(acc) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class PropDecl:
+# Declarations are named tuples: a file builds one per state and per
+# transition, and a tuple is far cheaper to make than a frozen dataclass.
+class PropDecl(NamedTuple):
     name: str
     kind: str  # "input" | "output"
 
 
-@dataclass(frozen=True)
-class StateDecl:
+class StateDecl(NamedTuple):
     sid: int
     player: Optional[int] = None
     label: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class TransitionDecl:
+class TransitionDecl(NamedTuple):
     tid: int
     src: int
     dst: int
@@ -103,8 +104,8 @@ def structure_document(
     doc = StructureDocument(
         kind=kind,
         props=tuple(props),
-        states=tuple(sorted(states, key=lambda s: s.sid)),
-        transitions=tuple(sorted(transitions, key=lambda t: t.tid)),
+        states=tuple(sorted(states, key=itemgetter(0))),
+        transitions=tuple(sorted(transitions, key=itemgetter(0))),
         initial=tuple(sorted(initial)),
         acc_type=acc_type,
         acc_sets=tuple(acc_sets),
@@ -118,26 +119,31 @@ def _check_schema(doc: StructureDocument):
         raise SchemaError(f"structure type must be game or fa, got {doc.kind!r}")
     if not doc.states:
         raise SchemaError("stateSet must not be empty")
-    sids = [s.sid for s in doc.states]
-    if len(set(sids)) != len(sids):
+    sid_set = set(map(itemgetter(0), doc.states))
+    if len(sid_set) != len(doc.states):
         raise SchemaError("state sids must be unique")
-    sid_set = set(sids)
     names = [p.name for p in doc.props]
     if len(set(names)) != len(names):
         raise SchemaError("alphabet proposition names must be unique")
     for p in doc.props:
         if p.kind not in ("input", "output"):
             raise SchemaError(f"prop type must be input or output, got {p.kind!r}")
-    tids = [t.tid for t in doc.transitions]
-    if len(set(tids)) != len(tids):
+    transitions = doc.transitions
+    if len(set(map(itemgetter(0), transitions))) != len(transitions):
         raise SchemaError("transition tids must be unique")
-    for t in doc.transitions:
-        if t.src not in sid_set or t.dst not in sid_set:
-            raise SchemaError(f"transition {t.tid} references unknown state")
-        if doc.kind == "fa" and t.read is None:
-            raise SchemaError(f"transition {t.tid}: fa transitions need a read symbol")
-        if t.read is not None:
-            parse_label(t.read, doc.props)
+    # A game document whose endpoints are all declared and that carries no
+    # read symbol passes the per-transition loop; skip it.
+    ends = chain(map(itemgetter(1), transitions), map(itemgetter(2), transitions))
+    if doc.kind == "fa" or not (
+        sid_set.issuperset(ends) and {None}.issuperset(map(itemgetter(3), transitions))
+    ):
+        for t in transitions:
+            if t.src not in sid_set or t.dst not in sid_set:
+                raise SchemaError(f"transition {t.tid} references unknown state")
+            if doc.kind == "fa" and t.read is None:
+                raise SchemaError(f"transition {t.tid}: fa transitions need a read symbol")
+            if t.read is not None:
+                parse_label(t.read, doc.props)
     for s in doc.states:
         if doc.kind == "game" and s.player is None:
             raise SchemaError(f"state {s.sid}: game states need a player tag")
@@ -252,8 +258,74 @@ def _int_of(elem, what):
         raise SchemaError(f"{what} must be numeric, got {text!r}") from None
 
 
+# What a bulk read below raises on a malformed element: ``int(None)`` for
+# a missing attribute or child (TypeError), text that is empty or no number
+# (ValueError), or no player tag (KeyError).  ``int()`` trims the whitespace
+# ``str.strip()`` does on every character an XML file can hold.
+_BULK_ERRORS = (TypeError, ValueError, KeyError)
+
+
+def _first_fault(elements, check, *args):
+    """Raise the ``SchemaError`` for the first of ``elements``, in document
+    order, that ``check(element, *args)`` refuses.  Called after a bulk read
+    failed, so some element is refused; the bulk read's own error is not
+    chained to the diagnostic."""
+    try:
+        for el in elements:
+            check(el, *args)
+    except SchemaError as exc:
+        raise exc from None
+
+
+def _checked_state(st):
+    """Raise the fault of a ``<state>`` element, if it has one."""
+    sid = st.get("sid")
+    if sid is None:
+        raise SchemaError("<state> needs a sid attribute")
+    try:
+        sid = int(sid)
+    except ValueError:
+        raise SchemaError(f"sid must be numeric, got {sid!r}") from None
+    player_el = st.find("player")
+    if player_el is not None:
+        tag = _text_of(player_el, "player")
+        if tag not in _PLAYER_TAGS:
+            raise SchemaError(f"state {sid}: player must be 0, 1 or -1, got {tag!r}")
+
+
+def _checked_transition(tr):
+    """Raise the fault of a ``<transition>`` element, if it has one."""
+    tid = tr.get("tid")
+    if tid is None:
+        raise SchemaError("<transition> needs a tid attribute")
+    try:
+        tid = int(tid)
+    except ValueError:
+        raise SchemaError(f"tid must be numeric, got {tid!r}") from None
+    src_el, dst_el = tr.find("from"), tr.find("to")
+    if src_el is None or dst_el is None:
+        raise SchemaError(f"transition {tid} needs <from> and <to>")
+    _int_of(src_el, "from")
+    _int_of(dst_el, "to")
+
+
+def _state_ids(block) -> tuple[int, ...]:
+    """The sorted ``<stateID>`` children of ``block``."""
+    elements = block.findall("stateID")
+    try:
+        return tuple(sorted([int(x.text) for x in elements]))
+    except _BULK_ERRORS:
+        _first_fault(elements, _int_of, "stateID")
+        raise
+
+
 def parse_structure(text: Union[str, bytes]) -> StructureDocument:
-    """Parse a structure file; positions are reported for XML errors."""
+    """Parse a structure file; positions are reported for XML errors.
+
+    States, transitions and stateID lists are each read in one pass that
+    checks nothing; only when one fails is it walked again element by
+    element, to report its first fault in document order.
+    """
     try:
         root = ET.fromstring(text)
     except ET.ParseError as exc:
@@ -271,54 +343,39 @@ def parse_structure(text: Union[str, bytes]) -> StructureDocument:
     if alphabet is not None:
         for prop in alphabet.findall("prop"):
             props.append(PropDecl(_text_of(prop, "prop"), prop.get("type") or ""))
-    states = []
     state_set = root.find("stateSet")
     if state_set is None:
         raise SchemaError("missing <stateSet>")
-    for st in state_set.findall("state"):
-        sid = st.get("sid")
-        if sid is None:
-            raise SchemaError("<state> needs a sid attribute")
-        try:
-            sid = int(sid)
-        except ValueError:
-            raise SchemaError(f"sid must be numeric, got {sid!r}") from None
-        player_el = st.find("player")
-        player = None
-        if player_el is not None:
-            tag = _text_of(player_el, "player")
-            if tag not in _PLAYER_TAGS:
-                raise SchemaError(f"state {sid}: player must be 0, 1 or -1, got {tag!r}")
-            player = _PLAYER_TAGS[tag]
-        label_el = st.find("label")
-        label = label_el.text if label_el is not None and label_el.text else None
-        states.append(StateDecl(sid, player, label))
-    transitions = []
-    trans_set = root.find("transitionSet")
-    if trans_set is not None:
-        for tr in trans_set.findall("transition"):
-            tid = tr.get("tid")
-            if tid is None:
-                raise SchemaError("<transition> needs a tid attribute")
-            try:
-                tid = int(tid)
-            except ValueError:
-                raise SchemaError(f"tid must be numeric, got {tid!r}") from None
-            src_el, dst_el = tr.find("from"), tr.find("to")
-            if src_el is None or dst_el is None:
-                raise SchemaError(f"transition {tid} needs <from> and <to>")
-            read_el = tr.find("read")
-            read = None
-            if read_el is not None and read_el.text and read_el.text.strip():
-                read = read_el.text.strip()
-            transitions.append(
-                TransitionDecl(tid, _int_of(src_el, "from"), _int_of(dst_el, "to"), read)
+    elements = state_set.findall("state")
+    try:
+        states = [
+            StateDecl(
+                int(st.get("sid")),
+                None if (tag := st.findtext("player")) is None else _PLAYER_TAGS[tag.strip()],
+                st.findtext("label") or None,
             )
-    initial = []
+            for st in elements
+        ]
+    except _BULK_ERRORS:
+        _first_fault(elements, _checked_state)
+        raise
+    trans_set = root.find("transitionSet")
+    elements = [] if trans_set is None else trans_set.findall("transition")
+    try:
+        transitions = [
+            TransitionDecl(
+                int(tr.get("tid")),
+                int(tr.findtext("from")),
+                int(tr.findtext("to")),
+                (read := tr.findtext("read")) and read.strip() or None,
+            )
+            for tr in elements
+        ]
+    except _BULK_ERRORS:
+        _first_fault(elements, _checked_transition)
+        raise
     init_set = root.find("initialStateSet")
-    if init_set is not None:
-        for sid in init_set.findall("stateID"):
-            initial.append(_int_of(sid, "stateID"))
+    initial = () if init_set is None else _state_ids(init_set)
     acc = root.find("acc")
     if acc is None:
         raise SchemaError("missing <acc> block")
@@ -329,11 +386,9 @@ def parse_structure(text: Union[str, bytes]) -> StructureDocument:
         if e_el is not None or f_el is not None:
             if e_el is None or f_el is None:
                 raise SchemaError("accSet needs both an E and an F block")
-            e = tuple(sorted(_int_of(x, "stateID") for x in e_el.findall("stateID")))
-            f = tuple(sorted(_int_of(x, "stateID") for x in f_el.findall("stateID")))
-            acc_sets.append((e, f))
+            acc_sets.append((_state_ids(e_el), _state_ids(f_el)))
         else:
-            acc_sets.append(tuple(sorted(_int_of(x, "stateID") for x in acc_set.findall("stateID"))))
+            acc_sets.append(_state_ids(acc_set))
     return structure_document(
         kind, props, states, transitions, initial, acc_type or "", acc_sets
     )
@@ -341,6 +396,21 @@ def parse_structure(text: Union[str, bytes]) -> StructureDocument:
 
 # ---------------------------------------------------------------------------
 # XML writing (canonical)
+
+
+# Characters XML 1.0 cannot hold, not even as character references.
+_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
+def _xml_text(text: str, what: str) -> str:
+    """``text`` as character data that reads back as ``text``: markup
+    characters escaped and ``\\r`` as a reference, which the reader's newline
+    normalization leaves alone.  ``SchemaError`` names ``what`` when ``text``
+    holds a character XML 1.0 cannot hold."""
+    bad = _NOT_XML.search(text)
+    if bad:
+        raise SchemaError(f"{what} holds U+{ord(bad.group()):04X}, which XML 1.0 cannot hold")
+    return escape(text, {"\r": "&#13;"})
 
 
 def write_structure(doc: StructureDocument) -> str:
@@ -352,7 +422,7 @@ def write_structure(doc: StructureDocument) -> str:
     if doc.props:
         put('  <alphabet type="propositional">\n')
         for p in doc.props:
-            put(f'    <prop type="{p.kind}">{escape(p.name)}</prop>\n')
+            put(f'    <prop type="{p.kind}">{_xml_text(p.name, f"prop {p.name!r}")}</prop>\n')
         put("  </alphabet>\n")
     else:
         put('  <alphabet type="propositional"/>\n')
@@ -362,7 +432,7 @@ def write_structure(doc: StructureDocument) -> str:
         if s.player is not None:
             put(f"      <player>{_TAG_OF_OWNER[s.player]}</player>\n")
         if s.label is not None:
-            put(f"      <label>{escape(s.label)}</label>\n")
+            put(f"      <label>{_xml_text(s.label, f'state {s.sid}: label')}</label>\n")
         put("    </state>\n")
     put("  </stateSet>\n")
     put("  <transitionSet>\n")
@@ -371,7 +441,7 @@ def write_structure(doc: StructureDocument) -> str:
         put(f"      <from>{t.src}</from>\n")
         put(f"      <to>{t.dst}</to>\n")
         if t.read is not None:
-            put(f"      <read>{escape(t.read)}</read>\n")
+            put(f"      <read>{_xml_text(t.read, f'transition {t.tid}: read symbol')}</read>\n")
         put("    </transition>\n")
     put("  </transitionSet>\n")
     put("  <initialStateSet>\n")
@@ -424,7 +494,7 @@ def _encode_objective(obj: Objective, n: int) -> tuple[str, list]:
     return ("streett" if isinstance(obj, Streett) else "rabin"), acc_sets
 
 
-def _decode_objective(doc: StructureDocument, rank: dict[int, int]) -> Objective:
+def _decode_objective(doc: StructureDocument, rank: dict[int, int] | range) -> Objective:
     """Objective of a document's accSets, states renumbered by ``rank``;
     Buchi acceptance becomes the two-priority parity encoding."""
     if doc.acc_type == "parity":
@@ -472,10 +542,17 @@ def document_to_game(doc: StructureDocument) -> tuple[GameGraph, Objective]:
     """
     if doc.kind != "game":
         raise SchemaError(f"expected a game document, got type {doc.kind!r}")
-    rank = {s.sid: k for k, s in enumerate(doc.states)}
-    succ = [[] for _ in doc.states]
-    for t in doc.transitions:  # already tid-ordered
-        succ[rank[t.src]].append(rank[t.dst])
+    sids = list(map(itemgetter(0), doc.states))
+    succ = [[] for _ in sids]
+    # transitions are already tid-ordered
+    if sids == list(range(len(sids))):  # as written by game_to_document
+        rank = range(len(sids))
+        for t in doc.transitions:
+            succ[t.src].append(t.dst)
+    else:
+        rank = {sid: k for k, sid in enumerate(sids)}
+        for t in doc.transitions:
+            succ[rank[t.src]].append(rank[t.dst])
     states = [
         (s.player, succ[k], s.label) for k, s in enumerate(doc.states)
     ]

@@ -235,6 +235,16 @@ def test_convert_of_invalid_pgsolver_game_is_input_error(workdir, capsys):
     assert not (workdir / "dup.xml").exists()
 
 
+def test_convert_of_label_xml_cannot_hold_is_input_error(workdir, capsys):
+    """A PGSolver label holding U+0001 is refused when converted to GOAL,
+    instead of being written to a file that solve then cannot read."""
+    (workdir / "lab.pg").write_text('parity 1;\n0 0 0 0,1 "x\x01y";\n1 1 1 0 "ok";\n', encoding="utf-8")
+    assert cli_main(["convert", "lab.pg", "--to", "goal", "-o", "lab.xml"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: state 0: label holds U+0001, which XML 1.0 cannot hold\n"
+    assert not (workdir / "lab.xml").exists()
+
+
 def test_weight_count_must_match_edge_count():
     for weights in ([1], [1, 2, 3]):
         with pytest.raises(InvalidGame) as err:

@@ -1,4 +1,6 @@
 """Structure-file fidelity: parse/write fixpoints, labels, schema errors."""
+from xml.sax.saxutils import escape
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,6 +34,86 @@ from omegagames.structio import (
 )
 
 from .conftest import DATA, repeated_grant_automaton, sample_game, sample_pairs, sample_parity
+
+GAME, FA = "sample_game.xml", "repeated_grant.xml"
+T1_FROM = '<transition tid="1">\n      <from>0</from>'
+ACC0 = "<accSet>\n      <stateID>3</stateID>\n    </accSet>"
+INIT = "<initialStateSet>\n    <stateID>0</stateID>"
+
+# Single-fault mutants of the data files, then multi-fault ones that pin
+# which fault is reported: the first in document order.
+DIAGNOSTICS = [
+    (GAME, [('<transition tid="0">', "<transition>")], SchemaError, "<transition> needs a tid attribute"),
+    (GAME, [('<transition tid="0">', '<transition tid="x">')], SchemaError, "tid must be numeric, got 'x'"),
+    (GAME, [('<transition tid="2">\n      <from>1</from>', '<transition tid="2">')], SchemaError,
+     "transition 2 needs <from> and <to>"),
+    (GAME, [("<to>4</to>", "<to> </to>")], SchemaError, "to must carry text"),
+    (GAME, [("<to>4</to>", "<to></to>")], SchemaError, "to must carry text"),
+    (GAME, [("<player>-1</player>", "<player>2</player>")], SchemaError,
+     "state 2: player must be 0, 1 or -1, got '2'"),
+    (GAME, [("<player>-1</player>", "<player></player>")], SchemaError, "player must carry text"),
+    (GAME, [("<player>-1</player>", "<player>\n</player>")], SchemaError, "player must carry text"),
+    (GAME, [("<player>0</player>", "<player>00</player>")], SchemaError,
+     "state 0: player must be 0, 1 or -1, got '00'"),
+    (GAME, [('<transition tid="3">', '<transition tid="2">')], SchemaError, "transition tids must be unique"),
+    (GAME, [("<to>4</to>", "<to>9</to>")], SchemaError, "transition 3 references unknown state"),
+    (GAME, [("<from>2</from>", "<from>-3</from>")], SchemaError, "transition 4 references unknown state"),
+    (GAME, [('<state sid="1">', "<state>")], SchemaError, "<state> needs a sid attribute"),
+    (GAME, [('<state sid="1">', '<state sid="one">')], SchemaError, "sid must be numeric, got 'one'"),
+    (GAME, [('<state sid="4">', '<state sid="3">')], SchemaError, "state sids must be unique"),
+    (GAME, [('<state sid="1">\n      <player>1</player>', '<state sid="1">')], SchemaError,
+     "state 1: game states need a player tag"),
+    (GAME, [("<from>0</from>", "<from>zero</from>")], SchemaError, "from must be numeric, got 'zero'"),
+    (GAME, [("<from>0</from>", "<from><x/></from>")], SchemaError, "from must carry text"),
+    (GAME, [(INIT, "<initialStateSet>\n    <stateID>x</stateID>")], SchemaError,
+     "stateID must be numeric, got 'x'"),
+    (GAME, [(INIT, "<initialStateSet>\n    <stateID>8</stateID>")], SchemaError, "initial state 8 is not declared"),
+    (GAME, [(INIT, "<initialStateSet>")], SchemaError, "initialStateSet must not be empty"),
+    (GAME, [(INIT, INIT + "<stateID>1</stateID>")], SchemaError, "games need exactly one initial state"),
+    (GAME, [(ACC0, "<accSet><stateID>three</stateID></accSet>")], SchemaError,
+     "stateID must be numeric, got 'three'"),
+    (GAME, [(ACC0, "<accSet><stateID/></accSet>")], SchemaError, "stateID must carry text"),
+    (GAME, [(ACC0, "<accSet><stateID>7</stateID></accSet>")], SchemaError, "accSet 0 references unknown state 7"),
+    (GAME, [(ACC0, "<accSet/>")], SchemaError, "parity accSets must cover every state"),
+    (GAME, [(ACC0, "<accSet><stateID>3</stateID><stateID>0</stateID></accSet>")], SchemaError,
+     "parity accSets must be disjoint (state 0)"),
+    (GAME, [(ACC0, "<accSet><E><stateID>3</stateID></E></accSet>")], SchemaError,
+     "accSet needs both an E and an F block"),
+    (GAME, [(ACC0, "<accSet><E><stateID>3</stateID></E><F/></accSet>")], SchemaError,
+     "accSet 0: plain stateID list expected"),
+    (GAME, [(ACC0, "<accSet><E><stateID>3</stateID></E><F><stateID>x</stateID></F></accSet>")], SchemaError,
+     "stateID must be numeric, got 'x'"),
+    (GAME, [('<acc type="parity">', '<acc type="muller">')], SchemaError, "unknown acceptance type 'muller'"),
+    (GAME, [('<acc type="parity">', '<acc type="buchi">')], SchemaError, "buchi acceptance needs exactly one accSet"),
+    (GAME, [('<acc type="parity">', '<acc type="streett">')], SchemaError,
+     "accSet 0: exactly one E and one F block expected"),
+    (GAME, [('<acc type="parity">', "<acc>")], SchemaError, "unknown acceptance type ''"),
+    (GAME, [('type="game"', 'type="arena"')], SchemaError, "structure type must be game or fa, got 'arena'"),
+    (GAME, [(' type="game"', "")], SchemaError, "<structure> needs a type attribute"),
+    (GAME, [("<structure ", "<game "), ("</structure>", "</game>")], SchemaError,
+     "root element must be <structure>, got <game>"),
+    (GAME, [("<stateSet>", "<states>"), ("</stateSet>", "</states>")], SchemaError, "missing <stateSet>"),
+    (GAME, [('<acc type="parity">', "<accept>"), ("</acc>", "</accept>")], SchemaError, "missing <acc> block"),
+    (FA, [("<read>c ∧ g</read>", "<read>c ∧ x</read>")], UnknownProp, "proposition 'x' is not declared"),
+    (FA, [("<read>¬g</read>", "<read>g ∧ g</read>")], DuplicateProp, "proposition 'g' appears twice in 'g ∧ g'"),
+    (FA, [("<read>c ∧ g</read>", "<read>c ∧</read>")], LabelSyntaxError, "label 'c ∧' ends in an operator"),
+    (FA, [("\n      <read>T</read>", "")], SchemaError, "transition 3: fa transitions need a read symbol"),
+    (FA, [("<read>T</read>", "<read> </read>")], SchemaError, "transition 3: fa transitions need a read symbol"),
+    (FA, [('<state sid="0">', '<state sid="0"><player>0</player>')], SchemaError,
+     "state 0: player tags only apply to games"),
+    (FA, [('<prop type="input">', '<prop type="env">')], SchemaError, "prop type must be input or output, got 'env'"),
+    (FA, [('<prop type="input">c<', '<prop type="input">g<')], SchemaError,
+     "alphabet proposition names must be unique"),
+    (FA, [('<prop type="input">c<', '<prop type="input"><')], SchemaError, "prop must carry text"),
+    (FA, [("<to>0</to>", "<to>0.5</to>")], SchemaError, "to must be numeric, got '0.5'"),
+    (FA, [('type="fa"', 'type="game"')], SchemaError, "state 0: game states need a player tag"),
+    (GAME, [(T1_FROM, '<transition tid="1">\n      <from>zero</from>'), ('<transition tid="2">', "<transition>")],
+     SchemaError, "from must be numeric, got 'zero'"),
+    (GAME, [('<state sid="3">', "<state>"), ("<player>1</player>", "<player>2</player>")], SchemaError,
+     "state 1: player must be 0, 1 or -1, got '2'"),
+    (GAME, [("<to>0</to>", "<to>x</to>"), ("<player>0</player>", "<player/>")], SchemaError,
+     "player must carry text"),
+]
 
 GRAMMAR_SAMPLE = """
 <structure label-on="transition" type="game">
@@ -101,6 +183,19 @@ def test_xml_syntax_error_carries_position():
         assert err.value.line is not None
         assert str(err.value).startswith(position + ": ")
         assert str(err.value).count("line") == 1
+
+
+@pytest.mark.parametrize("name, edits, error, message", DIAGNOSTICS)
+def test_parser_diagnostics_are_pinned(name, edits, error, message):
+    """Each mutant raises exactly this error type and message."""
+    text = (DATA / name).read_text(encoding="utf-8")
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new, 1)
+    with pytest.raises(error) as caught:
+        parse_structure(text)
+    assert type(caught.value) is error
+    assert str(caught.value) == message
 
 
 def test_repeated_grant_automaton_file_parses():
@@ -199,6 +294,28 @@ def test_round_trip_all_acceptance_types():
         assert parse_structure(text) == doc
         assert write_structure(parse_structure(text)) == text
         assert document_to_game(parse_structure(text))[1] == obj
+
+
+@pytest.mark.parametrize("label", ["a\rb", "t\tz", "a&b<c>", "a\r\nb \n"])
+def test_labels_round_trip_exactly(label):
+    """Carriage returns, tabs and markup characters in a label read back
+    as written."""
+    g = build_game([(PLAYER0, [0], label)], initial=0)
+    text = write_structure(game_to_document(g, Parity((0,))))
+    assert document_to_game(parse_structure(text))[0].label(0) == label
+
+
+@pytest.mark.parametrize(
+    "label, code", [("x\x01y", "0001"), ("\x0b", "000B"), ("a\ufffe", "FFFE"), ("\ud800", "D800")]
+)
+def test_labels_xml_cannot_hold_are_refused(label, code):
+    """Labels and prop names XML 1.0 cannot hold are refused by name."""
+    game = game_to_document(build_game([(PLAYER0, [0], label)], initial=0), Parity((0,)))
+    fa = structure_document("fa", [PropDecl(label, "input")], [StateDecl(0)], [], [0], "buchi", [(0,)])
+    for doc, where in ((game, "state 0: label"), (fa, f"prop {label!r}")):
+        with pytest.raises(SchemaError) as caught:
+            write_structure(doc)
+        assert str(caught.value) == f"{where} holds U+{code}, which XML 1.0 cannot hold"
 
 
 @pytest.mark.parametrize(
@@ -332,3 +449,96 @@ def test_random_document_write_is_canonical(seed):
     text = write_structure(doc)
     assert parse_structure(text) == doc
     assert write_structure(parse_structure(text)) == text
+
+
+def _shuffled(rng, items):
+    items = list(items)
+    for i in range(len(items) - 1, 0, -1):
+        j = rng.below(i + 1)
+        items[i], items[j] = items[j], items[i]
+    return items
+
+
+def _padded(rng, value):
+    """``value`` in one of the whitespace wrappings the reader must accept."""
+    return ("", " ", "\n  ", "\t")[rng.below(4)] + str(value) + ("", " ", "\n")[rng.below(3)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32), st.booleans())
+def test_random_noncanonical_document_reads_back(seed, sparse):
+    """Shuffled elements and children, sparse or negative ids, whitespace
+    around every number, read symbols and labels: the parsed document is the
+    canonical one of the same declarations, and its game and objective are
+    those of ranking the sids (the identity when they are 0..n-1)."""
+    rng = SplitMix64(seed)
+    g = sample_game(rng)
+    prio = sample_parity(rng, g.n).priorities
+    n = g.n
+    sids = list(range(n))
+    if sparse:
+        sids = sorted(_shuffled(rng, range(-n, 3 * n))[:n])
+    sids = _shuffled(rng, sids)  # state s is declared with sid sids[s]
+    props = [PropDecl("req", "input"), PropDecl("ack", "output")]
+    labels = [(None, "start", " two words ", "a&b<c>\n")[rng.below(4)] for _ in range(n)]
+    reads = (None, "T", "req", "¬ack", "req ∧ ack")
+    edges = [(s, t) for s in range(n) for t in g.succ[s]]
+    tids = _shuffled(rng, range(-len(edges), 3 * len(edges)))[: len(edges)]
+    states = [StateDecl(sids[s], g.owners[s], labels[s]) for s in range(n)]
+    transitions = [
+        TransitionDecl(tid, sids[s], sids[t], reads[rng.below(len(reads))])
+        for tid, (s, t) in zip(tids, edges)
+    ]
+    initial = rng.below(n)
+    acc_sets = [
+        tuple(sorted(sids[s] for s in range(n) if prio[s] == k)) for k in range(max(prio) + 1)
+    ]
+    tags = {PLAYER0: "0", PLAYER1: "1", PROBABILISTIC: "-1"}
+
+    def state_xml(d):
+        children = [f"<player>{_padded(rng, tags[d.player])}</player>"]
+        if d.label is not None:
+            children.append(f"<label>{escape(d.label)}</label>")
+        elif rng.below(2):
+            children.append("<label/>")  # an empty label is no label
+        return f'<state sid="{_padded(rng, d.sid)}">' + "".join(_shuffled(rng, children)) + "</state>"
+
+    def transition_xml(d):
+        children = [f"<from>{_padded(rng, d.src)}</from>", f"<to>{_padded(rng, d.dst)}</to>"]
+        if d.read is not None:
+            children.append(f"<read>{_padded(rng, d.read)}</read>")
+        elif rng.below(2):
+            children.append("<read> </read>")  # a blank read symbol is none
+        return f'<transition tid="{_padded(rng, d.tid)}">' + "".join(_shuffled(rng, children)) + "</transition>"
+
+    def ids_xml(ids):
+        return "".join(f"<stateID>{_padded(rng, sid)}</stateID>" for sid in _shuffled(rng, ids))
+
+    text = "".join([
+        '<structure type="game"><alphabet>',
+        *(f'<prop type="{p.kind}">{_padded(rng, p.name)}</prop>' for p in props),
+        "</alphabet><stateSet>",
+        *(state_xml(d) for d in _shuffled(rng, states)),
+        "</stateSet><transitionSet>",
+        *(transition_xml(d) for d in _shuffled(rng, transitions)),
+        f"</transitionSet><initialStateSet>{ids_xml([sids[initial]])}</initialStateSet>",
+        '<acc type="parity">',
+        *(f"<accSet>{ids_xml(acc)}</accSet>" for acc in acc_sets),
+        "</acc></structure>",
+    ])
+    doc = parse_structure(text)
+    assert doc == structure_document(
+        "game", props, states, transitions, [sids[initial]], "parity", acc_sets
+    )
+    game, obj = document_to_game(doc)
+    rank = {sid: k for k, sid in enumerate(sorted(sids))}
+    owners, succ, ranked_prio = [None] * n, [[] for _ in range(n)], [None] * n
+    for s in range(n):
+        owners[rank[sids[s]]] = g.owners[s]
+        ranked_prio[rank[sids[s]]] = prio[s]
+    for d in sorted(transitions, key=lambda d: d.tid):
+        succ[rank[d.src]].append(rank[d.dst])
+    assert list(game.owners) == owners
+    assert [list(row) for row in game.succ] == succ
+    assert game.initial == rank[sids[initial]]
+    assert obj == Parity(tuple(ranked_prio))
