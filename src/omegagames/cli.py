@@ -133,7 +133,7 @@ def _fraction(text: str) -> Fraction:
 
 def _cmd_bench(args) -> int:
     if len(args.states) != len(args.edges):
-        print("--states and --edges need the same number of entries", file=sys.stderr)
+        print("error: --states and --edges need the same number of entries", file=sys.stderr)
         return EXIT_INPUT
     specs = [
         BenchSpec(n, m, args.priorities, args.prob_frac, args.seed, args.reps)

@@ -248,19 +248,19 @@ def pullback_strategy(
     if not reduced_strategy.is_memoryless:
         raise ValueError("pullback expects a memoryless strategy on the reduced game")
     player = reduced_strategy.player
-    source = res.source
+    owners = res.source.owners
     if res.kind != "lar":
         # announcement states are player 0's but not the player's
         mem = reduced_strategy.memory_initial
+        n = len(owners)
         out = Strategy(player, choices={
             (MEMORYLESS, s): t
             for (m, s), t in reduced_strategy.choices.items()
-            if m == mem and s < source.n and source.owners[s] == player
+            if m == mem and s < n and owners[s] == player
         })
     else:
         origin = res.origin_map
         memory = res.memory_map
-        owners = source.owners
         reduced = reduced_strategy.choices
         mem = reduced_strategy.memory_initial
         choices = {}

@@ -11,6 +11,11 @@ Probabilistic game states carry player tag -1 and, since the format has no
 weights, get uniform distributions on parse; qualitative answers do not
 depend on the weights.  A game document is validated once, by
 ``build_game``, when ``document_to_game`` reads it.
+
+An unlabelled game file in the writer's layout is read by a strict scan
+of the text; every other file by the XML parser, with the same result and
+the same diagnostics.  The XML parser is the oracle the tests hold the
+scan to.
 """
 from __future__ import annotations
 
@@ -319,8 +324,83 @@ def _state_ids(block) -> tuple[int, ...]:
         raise
 
 
+# The layout ``write_structure`` gives an unlabelled game, as one pattern
+# the whole text must match: ASCII digits, XML whitespace between the
+# tags, attributes exactly as written, every repetition led by its own
+# tag.  Once the text has matched, each element's pattern reads its fields
+# from its section; in the layout its groups do not capture, which halves
+# the time of the match.
+_S = r"[ \t\r\n]*"
+_STATE_ID = rf"<stateID>([0-9]+)</stateID>{_S}"
+_STATE = rf'<state sid="([0-9]+)">{_S}<player>(0|1|-1)</player>{_S}</state>{_S}'
+_TRANSITION = (
+    rf'<transition tid="([0-9]+)">{_S}<from>([0-9]+)</from>{_S}<to>([0-9]+)</to>{_S}</transition>{_S}'
+)
+_ID, _ST, _TR = (p.replace("(", "(?:") for p in (_STATE_ID, _STATE, _TRANSITION))
+_GAME_LAYOUT = re.compile(
+    rf'<structure label-on="transition" type="game">{_S}<alphabet type="propositional"/>{_S}'
+    rf"<stateSet>{_S}(?P<states>(?:{_ST})*)</stateSet>{_S}"
+    rf"<transitionSet>{_S}(?P<transitions>(?:{_TR})*)</transitionSet>{_S}"
+    rf"<initialStateSet>{_S}(?P<initial>(?:{_ID})*)</initialStateSet>{_S}"
+    rf'<acc type="(?P<acc_type>buchi|parity|rabin|streett)">{_S}(?P<acc>(?:<accSet>{_S}'
+    rf"(?:<E>{_S}(?:{_ID})*</E>{_S}<F>{_S}(?:{_ID})*</F>{_S}|(?:{_ID})*)</accSet>{_S})*)"
+    rf"</acc>{_S}</structure>{_S}",
+    re.ASCII,
+)
+_STATE_FIELDS = re.compile(_STATE, re.ASCII)
+_TRANSITION_FIELDS = re.compile(_TRANSITION, re.ASCII)
+_STATE_ID_FIELDS = re.compile(_STATE_ID, re.ASCII)
+_ACC_SET_BODY = re.compile(r"<accSet>(.*?)</accSet>", re.ASCII | re.DOTALL)
+
+
+def _scan_game(text: Union[str, bytes]) -> Optional[StructureDocument]:
+    """The document of a text in the layout of an unlabelled game as
+    ``write_structure`` writes it, read without building an element tree;
+    ``None`` for any other text, which is left to the XML parser.  Where it
+    reads a document, the XML parser reads an equal one or raises the same
+    error: both hand the same columns to ``structure_document``."""
+    if not isinstance(text, str) or (m := _GAME_LAYOUT.fullmatch(text)) is None:
+        return None
+
+    def ids(*where):
+        return tuple(sorted(map(int, _STATE_ID_FIELDS.findall(*where))))
+
+    try:  # int() refuses more digits than sys.get_int_max_str_digits()
+        states = [
+            StateDecl(int(sid), _PLAYER_TAGS[tag])
+            for sid, tag in _STATE_FIELDS.findall(text, *m.span("states"))
+        ]
+        fields = _TRANSITION_FIELDS.findall(text, *m.span("transitions"))
+        numbers = list(map(int, chain.from_iterable(fields)))
+        transitions = list(map(TransitionDecl, numbers[0::3], numbers[1::3], numbers[2::3]))
+        initial = ids(text, *m.span("initial"))
+        acc_sets = []
+        for body in _ACC_SET_BODY.findall(text, *m.span("acc")):
+            if "<F>" in body:
+                e, f = body.split("<F>")
+                acc_sets.append((ids(e), ids(f)))
+            else:
+                acc_sets.append(ids(body))
+    except ValueError:
+        return None
+    return structure_document(
+        "game", (), states, transitions, initial, m.group("acc_type"), acc_sets
+    )
+
+
 def parse_structure(text: Union[str, bytes]) -> StructureDocument:
     """Parse a structure file; positions are reported for XML errors.
+
+    An unlabelled game in the writer's layout is read by ``_scan_game``;
+    every other text by the XML parser, with the same result and the same
+    diagnostics.
+    """
+    doc = _scan_game(text)
+    return _read_tree(text) if doc is None else doc
+
+
+def _read_tree(text: Union[str, bytes]) -> StructureDocument:
+    """Parse a structure file with the XML parser.
 
     States, transitions and stateID lists are each read in one pass that
     checks nothing; only when one fails is it walked again element by
@@ -352,7 +432,7 @@ def parse_structure(text: Union[str, bytes]) -> StructureDocument:
             StateDecl(
                 int(st.get("sid")),
                 None if (tag := st.findtext("player")) is None else _PLAYER_TAGS[tag.strip()],
-                st.findtext("label") or None,
+                st.findtext("label"),
             )
             for st in elements
         ]

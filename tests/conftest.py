@@ -16,6 +16,7 @@ import omegagames
 from omegagames import _kernels
 from omegagames.automata import DetParityAutomaton, PropAlphabet
 from omegagames.benchgen import SplitMix64
+from omegagames.errors import OmegagamesError
 from omegagames.graph import PLAYER0, PLAYER1, PROBABILISTIC, build_game
 from omegagames.objectives import Parity
 
@@ -32,6 +33,14 @@ def child_env(**extra):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
     env.update(extra)
     return env
+
+
+def read_outcome(read, text):
+    """``read(text)``, or its typed error as (type, message)."""
+    try:
+        return read(text)
+    except OmegagamesError as exc:
+        return type(exc), str(exc)
 
 
 def sample_game(rng, max_states=6, max_degree=3, owners=(PLAYER0, PLAYER1, PROBABILISTIC)):

@@ -399,6 +399,12 @@ def test_bench_malformed_number_is_usage_error(option, value, capsys):
     assert "Traceback" not in err
 
 
+def test_bench_unequal_size_lists_are_an_input_error(capsys):
+    assert cli_main(["bench", "--states", "40,80", "--edges", "160"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: --states and --edges need the same number of entries\n"
+
+
 def test_synth_transducer_output_file(workdir, capsys):
     assert cli_main(["synth", "transducer", "repeated_grant.xml", "-o", "sys.txt"]) == 0
     text = (workdir / "sys.txt").read_text(encoding="utf-8")

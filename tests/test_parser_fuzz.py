@@ -22,7 +22,7 @@ from omegagames.pgsolver import export_pgsolver, import_pgsolver
 from omegagames.solve import almost_sure_solve, cooperative_region, zielonka_solve
 from omegagames.synthesis import dpa_to_synthesis_game
 
-from .conftest import DATA
+from .conftest import DATA, read_outcome
 
 # The ``kernels`` fixture does not vary between examples.
 FUZZ = settings(
@@ -32,6 +32,8 @@ FUZZ = settings(
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
 )
 SAMPLE_XML = (DATA / "sample_game.xml").read_text(encoding="utf-8")
+# an unlabelled game in the writer's layout, which the scan reads
+SCANNED_XML = (DATA / "streett2_reduced.xml").read_text(encoding="utf-8")
 # two parity specifications and a Streett assumption automaton
 FA_FILES = ("repeated_grant.xml", "request_grant.xml", "repeated_grant_assumption.xml")
 FA_XML = [(DATA / name).read_text(encoding="utf-8") for name in FA_FILES]
@@ -134,6 +136,17 @@ def _mutated_xml(draw, text=SAMPLE_XML):
 @given(_mutated_xml())
 @example("\ud800" + SAMPLE_XML)  # a lone surrogate cannot be encoded for the XML parser
 def test_mutated_structure_file_raises_only_typed_errors(text):
+    _load_xml(text)
+
+
+@FUZZ
+@given(st.sampled_from([SCANNED_XML, SAMPLE_XML]).flatmap(_mutated_xml))
+def test_mutated_structure_file_reads_alike_on_both_readers(text):
+    """The scan never reads a text the XML parser refuses: where it reads
+    one, the XML parser reads an equal document or raises the same error."""
+    scanned = read_outcome(structio._scan_game, text)
+    if scanned is not None:
+        assert scanned == read_outcome(structio._read_tree, text)
     _load_xml(text)
 
 

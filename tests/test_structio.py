@@ -1,4 +1,6 @@
-"""Structure-file fidelity: parse/write fixpoints, labels, schema errors."""
+"""Structure-file fidelity: parse/write fixpoints, labels, schema errors,
+and the scan of tool-written games against the XML parser."""
+from dataclasses import replace
 from xml.sax.saxutils import escape
 
 import pytest
@@ -21,6 +23,8 @@ from omegagames.structio import (
     PropDecl,
     StateDecl,
     TransitionDecl,
+    _read_tree,
+    _scan_game,
     document_to_game,
     dpa_from_document,
     dpa_to_document,
@@ -33,7 +37,14 @@ from omegagames.structio import (
     write_structure,
 )
 
-from .conftest import DATA, repeated_grant_automaton, sample_game, sample_pairs, sample_parity
+from .conftest import (
+    DATA,
+    read_outcome,
+    repeated_grant_automaton,
+    sample_game,
+    sample_pairs,
+    sample_parity,
+)
 
 GAME, FA = "sample_game.xml", "repeated_grant.xml"
 T1_FROM = '<transition tid="1">\n      <from>0</from>'
@@ -296,12 +307,14 @@ def test_round_trip_all_acceptance_types():
         assert document_to_game(parse_structure(text))[1] == obj
 
 
-@pytest.mark.parametrize("label", ["a\rb", "t\tz", "a&b<c>", "a\r\nb \n"])
+@pytest.mark.parametrize("label", ["a\rb", "t\tz", "a&b<c>", "a\r\nb \n", ""])
 def test_labels_round_trip_exactly(label):
     """Carriage returns, tabs and markup characters in a label read back
-    as written."""
+    as written, and an empty label as an empty label."""
     g = build_game([(PLAYER0, [0], label)], initial=0)
-    text = write_structure(game_to_document(g, Parity((0,))))
+    doc = game_to_document(g, Parity((0,)))
+    text = write_structure(doc)
+    assert parse_structure(text) == doc
     assert document_to_game(parse_structure(text))[0].label(0) == label
 
 
@@ -480,7 +493,7 @@ def test_random_noncanonical_document_reads_back(seed, sparse):
         sids = sorted(_shuffled(rng, range(-n, 3 * n))[:n])
     sids = _shuffled(rng, sids)  # state s is declared with sid sids[s]
     props = [PropDecl("req", "input"), PropDecl("ack", "output")]
-    labels = [(None, "start", " two words ", "a&b<c>\n")[rng.below(4)] for _ in range(n)]
+    labels = [(None, "", "start", " two words ", "a&b<c>\n")[rng.below(5)] for _ in range(n)]
     reads = (None, "T", "req", "¬ack", "req ∧ ack")
     edges = [(s, t) for s in range(n) for t in g.succ[s]]
     tids = _shuffled(rng, range(-len(edges), 3 * len(edges)))[: len(edges)]
@@ -497,10 +510,10 @@ def test_random_noncanonical_document_reads_back(seed, sparse):
 
     def state_xml(d):
         children = [f"<player>{_padded(rng, tags[d.player])}</player>"]
-        if d.label is not None:
+        if d.label == "" and rng.below(2):
+            children.append("<label/>")  # an empty label reads as ""
+        elif d.label is not None:
             children.append(f"<label>{escape(d.label)}</label>")
-        elif rng.below(2):
-            children.append("<label/>")  # an empty label is no label
         return f'<state sid="{_padded(rng, d.sid)}">' + "".join(_shuffled(rng, children)) + "</state>"
 
     def transition_xml(d):
@@ -542,3 +555,110 @@ def test_random_noncanonical_document_reads_back(seed, sparse):
     assert [list(row) for row in game.succ] == succ
     assert game.initial == rank[sids[initial]]
     assert obj == Parity(tuple(ranked_prio))
+
+
+# ---------------------------------------------------------------------------
+# the scan of tool-written games, with the XML parser as its oracle
+
+
+def _written_game(rng, acc_type):
+    """The writer's text of a random unlabelled game with ``acc_type``
+    acceptance."""
+    g = sample_game(rng)
+    if acc_type in ("rabin", "streett"):
+        obj = (Rabin if acc_type == "rabin" else Streett)(sample_pairs(rng, g.n))
+        return write_structure(game_to_document(g, obj))
+    doc = game_to_document(g, sample_parity(rng, g.n))
+    if acc_type == "buchi":
+        doc = replace(doc, acc_type="buchi", acc_sets=(doc.acc_sets[0],))
+    return write_structure(doc)
+
+
+# Edits of the writer's text.  Most keep its layout and, in some games,
+# break a schema rule or the order of a stateID list.
+LAYOUT_EDITS = [
+    ("", ""),
+    ('sid="0"', 'sid="1"'),
+    ('tid="0"', 'tid="1"'),
+    ("<to>0</to>", "<to>97</to>"),
+    ("<stateID>1</stateID>", "<stateID>0</stateID>"),
+    ("<initialStateSet>", "<initialStateSet><stateID>1</stateID>"),
+    ("<initialStateSet>\n    <stateID>0</stateID>\n", "<initialStateSet>"),
+    ('<acc type="parity">', '<acc type="streett">'),
+    ('<acc type="streett">', '<acc type="buchi">'),
+    ('<acc type="rabin">', '<acc type="parity">'),
+    ("\n      <F>", "</accSet><accSet><F>"),
+    ("<accSet>\n", "<accSet><stateID>1</stateID>"),
+    ("<E>\n", "<E><stateID>1</stateID>"),
+    ("\n", "\r\n\t"),
+]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.integers(min_value=0, max_value=2**32),
+    st.sampled_from(["buchi", "parity", "rabin", "streett"]),
+    st.sampled_from(LAYOUT_EDITS),
+)
+def test_scanned_game_equals_the_xml_parsers(seed, acc_type, edit):
+    """Where the scan reads a text, the XML parser reads an equal document
+    or raises the same error, and the scan reads the writer's every game."""
+    text = _written_game(SplitMix64(seed), acc_type)
+    if edit == LAYOUT_EDITS[0]:
+        assert _scan_game(text) is not None
+    text = text.replace(*edit)
+    scanned = read_outcome(_scan_game, text)
+    if scanned is not None:
+        assert scanned == read_outcome(_read_tree, text)
+    assert read_outcome(parse_structure, text) == read_outcome(_read_tree, text)
+
+
+SMALL_GAME = write_structure(
+    game_to_document(
+        build_game([(PLAYER0, [1]), (PROBABILISTIC, [0, 1])], initial=0), Parity((1, 0))
+    )
+)
+DECLINED = {
+    "xml declaration": '<?xml version="1.0" encoding="UTF-8"?>\n' + SMALL_GAME,
+    "comment": SMALL_GAME.replace("<stateSet>", "<stateSet><!-- two states -->"),
+    "character reference": SMALL_GAME.replace("<to>1</to>", "<to>&#49;</to>"),
+    "single-quoted attribute": SMALL_GAME.replace('sid="1"', "sid='1'"),
+    "extra attribute": SMALL_GAME.replace('<state sid="1">', '<state sid="1" x="y">'),
+    "leading byte order mark": "\ufeff" + SMALL_GAME,
+    "label": SMALL_GAME.replace("</player>", "</player><label>x</label>", 1),
+    "read symbol": SMALL_GAME.replace("</to>", "</to><read>T</read>", 1),
+    "bytes": SMALL_GAME.encode("utf-8"),
+    "form feed between tags": SMALL_GAME.replace("\n", "\f\n", 1),
+    "player 2": SMALL_GAME.replace("<player>0</player>", "<player>2</player>"),
+    "non-ASCII digit": SMALL_GAME.replace("<to>1</to>", "<to>\u0661</to>"),
+}
+
+
+def test_scan_reads_the_small_game():
+    assert _scan_game(SMALL_GAME) == _read_tree(SMALL_GAME)
+
+
+@pytest.mark.parametrize("text", DECLINED.values(), ids=DECLINED)
+def test_scan_declines_what_the_writer_does_not_write(text):
+    """Each of these is left to the XML parser, which reads it as before."""
+    assert _scan_game(text) is None
+    assert read_outcome(parse_structure, text) == read_outcome(_read_tree, text)
+
+
+def test_sid_int_refuses_reads_as_the_xml_parser_reads_it():
+    """A sid of more digits than ``int`` converts by default (4300) is the
+    XML parser's ``SchemaError``, not a ``ValueError``."""
+    text = SMALL_GAME.replace('sid="1"', 'sid="' + "1" * 5000 + '"')
+    assert read_outcome(parse_structure, text) == read_outcome(_read_tree, text)
+
+
+def test_scan_reads_a_large_written_game():
+    """The writer's text of a 30,000-state game takes the scan, not the
+    XML parser."""
+    n = 30_000
+    g = build_game(
+        [((PLAYER0, PLAYER1, PROBABILISTIC)[s % 3], [(s + 1) % n, (s * 7) % n]) for s in range(n)],
+        initial=0,
+    )
+    doc = game_to_document(g, Parity(tuple(s % 5 for s in range(n))))
+    assert _scan_game(write_structure(doc)) == doc
