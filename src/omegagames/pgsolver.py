@@ -55,7 +55,7 @@ def export_pgsolver(g: GameGraph, obj: Parity) -> str:
 
 
 _LINE = re.compile(
-    r"^(?P<id>\d+)\s+(?P<prio>\d+)\s+(?P<owner>[01])\s+(?P<succ>\d+(?:\s*,\s*\d+)*)"
+    r"^(?P<id>[0-9]+)\s+(?P<prio>[0-9]+)\s+(?P<owner>[01])\s+(?P<succ>[0-9]+(?:\s*,\s*[0-9]+)*)"
     r'(?:\s+"(?P<label>[^"]*)")?\s*;?$'
 )
 
@@ -71,7 +71,7 @@ def import_pgsolver(text: str) -> tuple[GameGraph, Parity]:
         if not line:
             continue
         if line.startswith("parity"):
-            if not re.fullmatch(r"parity\s+\d+\s*;?", line):
+            if not re.fullmatch(r"parity\s+[0-9]+\s*;?", line):
                 raise StructureSyntaxError("malformed parity header", lineno)
             continue
         m = _LINE.match(line)

@@ -47,9 +47,9 @@ _TAG_OF_OWNER = {owner: tag for tag, owner in _PLAYER_TAGS.items()}
 
 
 def read_text(path) -> str:
-    """The UTF-8 text of file ``path``."""
+    """The UTF-8 text of file ``path``, without a leading byte-order mark."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise FileAccessError(path, "read", exc) from None
 
@@ -249,79 +249,44 @@ def parse_label(
 # XML reading
 
 
-def _text_of(elem, what):
-    if elem.text is None or not elem.text.strip():
-        raise SchemaError(f"{what} must carry text")
-    return elem.text.strip()
+_NUMBER = re.compile(r"-?[0-9]+")
 
 
-def _int_of(elem, what):
-    text = _text_of(elem, what)
-    try:
-        return int(text)
-    except ValueError:
-        raise SchemaError(f"{what} must be numeric, got {text!r}") from None
+def _number(text: str, what: str) -> int:
+    """The integer ``text`` writes in ASCII decimal digits, with an optional
+    minus sign and whitespace around them; ``SchemaError`` for any other
+    text, and for more digits than ``int()`` converts."""
+    digits = text.strip()
+    if _NUMBER.fullmatch(digits):
+        try:
+            return int(digits)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            pass
+    raise SchemaError(f"{what} must be numeric, got {text!r}")
 
 
-# What a bulk read below raises on a malformed element: ``int(None)`` for
-# a missing attribute or child (TypeError), text that is empty or no number
-# (ValueError), or no player tag (KeyError).  ``int()`` trims the whitespace
-# ``str.strip()`` does on every character an XML file can hold.
-_BULK_ERRORS = (TypeError, ValueError, KeyError)
+def _text_of(elem):
+    text = (elem.text or "").strip()
+    if not text:
+        raise SchemaError(f"{elem.tag} must carry text")
+    return text
 
 
-def _first_fault(elements, check, *args):
-    """Raise the ``SchemaError`` for the first of ``elements``, in document
-    order, that ``check(element, *args)`` refuses.  Called after a bulk read
-    failed, so some element is refused; the bulk read's own error is not
-    chained to the diagnostic."""
-    try:
-        for el in elements:
-            check(el, *args)
-    except SchemaError as exc:
-        raise exc from None
+def _int_of(elem):
+    return _number(_text_of(elem), elem.tag)
 
 
-def _checked_state(st):
-    """Raise the fault of a ``<state>`` element, if it has one."""
-    sid = st.get("sid")
-    if sid is None:
-        raise SchemaError("<state> needs a sid attribute")
-    try:
-        sid = int(sid)
-    except ValueError:
-        raise SchemaError(f"sid must be numeric, got {sid!r}") from None
-    player_el = st.find("player")
-    if player_el is not None:
-        tag = _text_of(player_el, "player")
-        if tag not in _PLAYER_TAGS:
-            raise SchemaError(f"state {sid}: player must be 0, 1 or -1, got {tag!r}")
-
-
-def _checked_transition(tr):
-    """Raise the fault of a ``<transition>`` element, if it has one."""
-    tid = tr.get("tid")
-    if tid is None:
-        raise SchemaError("<transition> needs a tid attribute")
-    try:
-        tid = int(tid)
-    except ValueError:
-        raise SchemaError(f"tid must be numeric, got {tid!r}") from None
-    src_el, dst_el = tr.find("from"), tr.find("to")
-    if src_el is None or dst_el is None:
-        raise SchemaError(f"transition {tid} needs <from> and <to>")
-    _int_of(src_el, "from")
-    _int_of(dst_el, "to")
+def _id_of(elem, name):
+    """The numeric ``name`` attribute of ``elem``, which must carry it."""
+    value = elem.get(name)
+    if value is None:
+        raise SchemaError(f"<{elem.tag}> needs a {name} attribute")
+    return _number(value, name)
 
 
 def _state_ids(block) -> tuple[int, ...]:
     """The sorted ``<stateID>`` children of ``block``."""
-    elements = block.findall("stateID")
-    try:
-        return tuple(sorted([int(x.text) for x in elements]))
-    except _BULK_ERRORS:
-        _first_fault(elements, _int_of, "stateID")
-        raise
+    return tuple(sorted([_int_of(x) for x in block.findall("stateID")]))
 
 
 # The layout ``write_structure`` gives an unlabelled game, as one pattern
@@ -402,9 +367,8 @@ def parse_structure(text: Union[str, bytes]) -> StructureDocument:
 def _read_tree(text: Union[str, bytes]) -> StructureDocument:
     """Parse a structure file with the XML parser.
 
-    States, transitions and stateID lists are each read in one pass that
-    checks nothing; only when one fails is it walked again element by
-    element, to report its first fault in document order.
+    One walk reads each element and checks it as it is met, so a malformed
+    file reports its first fault in document order.
     """
     try:
         root = ET.fromstring(text)
@@ -422,38 +386,29 @@ def _read_tree(text: Union[str, bytes]) -> StructureDocument:
     alphabet = root.find("alphabet")
     if alphabet is not None:
         for prop in alphabet.findall("prop"):
-            props.append(PropDecl(_text_of(prop, "prop"), prop.get("type") or ""))
+            props.append(PropDecl(_text_of(prop), prop.get("type") or ""))
     state_set = root.find("stateSet")
     if state_set is None:
         raise SchemaError("missing <stateSet>")
-    elements = state_set.findall("state")
-    try:
-        states = [
-            StateDecl(
-                int(st.get("sid")),
-                None if (tag := st.findtext("player")) is None else _PLAYER_TAGS[tag.strip()],
-                st.findtext("label"),
-            )
-            for st in elements
-        ]
-    except _BULK_ERRORS:
-        _first_fault(elements, _checked_state)
-        raise
+    states = []
+    for st in state_set.findall("state"):
+        sid = _id_of(st, "sid")
+        player = st.find("player")
+        if player is not None:
+            tag = _text_of(player)
+            player = _PLAYER_TAGS.get(tag)
+            if player is None:
+                raise SchemaError(f"state {sid}: player must be 0, 1 or -1, got {tag!r}")
+        states.append(StateDecl(sid, player, st.findtext("label")))
     trans_set = root.find("transitionSet")
-    elements = [] if trans_set is None else trans_set.findall("transition")
-    try:
-        transitions = [
-            TransitionDecl(
-                int(tr.get("tid")),
-                int(tr.findtext("from")),
-                int(tr.findtext("to")),
-                (read := tr.findtext("read")) and read.strip() or None,
-            )
-            for tr in elements
-        ]
-    except _BULK_ERRORS:
-        _first_fault(elements, _checked_transition)
-        raise
+    transitions = []
+    for tr in [] if trans_set is None else trans_set.findall("transition"):
+        tid = _id_of(tr, "tid")
+        src, dst = tr.find("from"), tr.find("to")
+        if src is None or dst is None:
+            raise SchemaError(f"transition {tid} needs <from> and <to>")
+        read = (tr.findtext("read") or "").strip() or None
+        transitions.append(TransitionDecl(tid, _int_of(src), _int_of(dst), read))
     init_set = root.find("initialStateSet")
     initial = () if init_set is None else _state_ids(init_set)
     acc = root.find("acc")

@@ -42,6 +42,13 @@ def test_solve_all_odd_loop_is_negative(workdir, capsys):
     assert cli_main(["solve", "odd.xml", "--player", "1"]) == 0
 
 
+def test_solve_reads_a_file_led_by_a_byte_order_mark(workdir, capsys):
+    text = (workdir / "sample_game.xml").read_text(encoding="utf-8")
+    (workdir / "bom.xml").write_text("\ufeff" + text, encoding="utf-8")
+    assert cli_main(["solve", "bom.xml", "--player", "0"]) == 1
+    assert "{2, 3}" in capsys.readouterr().out
+
+
 def test_missing_file_is_input_error(workdir, capsys):
     assert cli_main(["solve", "nope.xml", "--player", "0"]) == 2
 

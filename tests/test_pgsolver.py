@@ -42,6 +42,11 @@ def test_import_syntax_errors():
         import_pgsolver("0 0 2 0;\n")  # owner must be 0/1
     with pytest.raises(StructureSyntaxError):
         import_pgsolver("")
+    # numbers are ASCII digits: an Arabic-Indic zero is no node id
+    with pytest.raises(StructureSyntaxError, match="malformed node line"):
+        import_pgsolver("parity 1;\n\u0660 0 0 1;\n1 1 1 0;\n")
+    with pytest.raises(StructureSyntaxError, match="malformed parity header"):
+        import_pgsolver("parity \u0661;\n0 0 0 1;\n1 1 1 0;\n")
 
 
 def test_labels_round_trip():

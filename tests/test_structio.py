@@ -117,6 +117,11 @@ DIAGNOSTICS = [
      "alphabet proposition names must be unique"),
     (FA, [('<prop type="input">c<', '<prop type="input"><')], SchemaError, "prop must carry text"),
     (FA, [("<to>0</to>", "<to>0.5</to>")], SchemaError, "to must be numeric, got '0.5'"),
+    (GAME, [("<to>4</to>", "<to>0_1</to>")], SchemaError, "to must be numeric, got '0_1'"),
+    (GAME, [('<state sid="1">', '<state sid="+1">')], SchemaError, "sid must be numeric, got '+1'"),
+    (GAME, [("<to>4</to>", "<to>\u0661</to>")], SchemaError, "to must be numeric, got '\u0661'"),
+    (GAME, [(INIT, "<initialStateSet>\n    <stateID>\uff10</stateID>")], SchemaError,
+     "stateID must be numeric, got '\uff10'"),
     (FA, [('type="fa"', 'type="game"')], SchemaError, "state 0: game states need a player tag"),
     (GAME, [(T1_FROM, '<transition tid="1">\n      <from>zero</from>'), ('<transition tid="2">', "<transition>")],
      SchemaError, "from must be numeric, got 'zero'"),
