@@ -54,10 +54,14 @@ def export_pgsolver(g: GameGraph, obj: Parity) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Fields are ASCII digits separated by spaces and tabs only.
 _LINE = re.compile(
-    r"^(?P<id>[0-9]+)\s+(?P<prio>[0-9]+)\s+(?P<owner>[01])\s+(?P<succ>[0-9]+(?:\s*,\s*[0-9]+)*)"
-    r'(?:\s+"(?P<label>[^"]*)")?\s*;?$'
+    r"^(?P<id>[0-9]+)[ \t]+(?P<prio>[0-9]+)[ \t]+(?P<owner>[01])[ \t]+"
+    r"(?P<succ>[0-9]+(?:[ \t]*,[ \t]*[0-9]+)*)"
+    r'(?:[ \t]+"(?P<label>[^"]*)")?[ \t]*;?$'
 )
+_HEADER = re.compile(r"parity[ \t]+[0-9]+[ \t]*;?")
+_COMMA = re.compile(r"[ \t]*,[ \t]*")
 
 
 def import_pgsolver(text: str) -> tuple[GameGraph, Parity]:
@@ -67,11 +71,11 @@ def import_pgsolver(text: str) -> tuple[GameGraph, Parity]:
     """
     entries = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
+        line = raw.strip(" \t")
         if not line:
             continue
         if line.startswith("parity"):
-            if not re.fullmatch(r"parity\s+[0-9]+\s*;?", line):
+            if not _HEADER.fullmatch(line):
                 raise StructureSyntaxError("malformed parity header", lineno)
             continue
         m = _LINE.match(line)
@@ -80,7 +84,7 @@ def import_pgsolver(text: str) -> tuple[GameGraph, Parity]:
         node = int(m.group("id"))
         if node in entries:
             raise StructureSyntaxError(f"node {node} declared twice", lineno)
-        succ = [int(t) for t in re.split(r"\s*,\s*", m.group("succ"))]
+        succ = [int(t) for t in _COMMA.split(m.group("succ"))]
         entries[node] = (int(m.group("prio")), int(m.group("owner")), succ, m.group("label"))
     if not entries:
         raise StructureSyntaxError("no nodes in file", 1)

@@ -16,7 +16,7 @@ from typing import Iterable, Optional
 from .errors import UndefinedOnRegion
 from .graph import PLAYER0, PLAYER1, PROBABILISTIC, GameGraph, check_objective, explore
 from .objectives import Objective, Parity, Rabin, Streett, complement
-from .strategies import MEMORYLESS, Strategy
+from .strategies import Strategy
 
 
 @dataclass(frozen=True)
@@ -53,25 +53,28 @@ def reduce_stochastic_parity(g: GameGraph, obj: Parity) -> ReductionResult:
     """2-player parity game preserving player 0's almost-sure region.
 
     Each probabilistic state ``s`` becomes an announcement state (player 0,
-    priority of ``s``) from which an even value e <= E* is claimed as the
-    recurring minimum.  Player 1 then either accepts the claim (priority e,
-    player 1 picks the successor) or challenges it (priority e+1, player 0
-    must pick).  Deterministic states keep their rows (the same tuples);
-    announcement states reuse the index of the state they replace, so
-    copies of original states are exactly the indices below ``g.n``.
+    priority of ``s``) from which an even value e <= even_ceiling(p(s)) is
+    claimed as the recurring minimum.  Player 1 then either accepts the
+    claim (priority e, player 1 picks the successor) or challenges it
+    (priority e+1, player 0 must pick).  Every pass through the gadget
+    visits ``s`` itself, so a higher claim could not lower the least
+    recurring priority: it would repeat the top arm kept.  The state gets
+    ``even_ceiling(p(s)) // 2 + 1`` arms of three states each.
+    Deterministic states keep their rows (the same tuples); announcement
+    states reuse the index of the state they replace, so copies of original
+    states are exactly the indices below ``g.n``.
     """
     check_objective(g, obj, Parity)
     if g.is_two_player:
         return ReductionResult(g, g, obj)
-    estar = even_ceiling(obj.max_priority)
-    neutral = estar + 2
+    neutral = even_ceiling(obj.max_priority) + 2
     owners = list(g.owners)
     succ = list(g.succ)
     prios = list(obj.priorities)
     for s in g.probabilistic_states:
         support = g.support(s)
         first = len(owners)
-        for e in range(0, estar + 1, 2):
+        for e in range(0, even_ceiling(prios[s]) + 1, 2):
             decide = len(owners)
             # decide, accept (adversary moves), challenge (announcer moves)
             owners += (PLAYER1, PLAYER1, PLAYER0)
@@ -82,6 +85,29 @@ def reduce_stochastic_parity(g: GameGraph, obj: Parity) -> ReductionResult:
     labels = (g.labels or (None,) * g.n) + (None,) * (len(owners) - g.n)
     reduced = GameGraph(tuple(owners), tuple(succ), {}, labels, g.initial)
     return ReductionResult(g, reduced, Parity(tuple(prios)), kind="gadget")
+
+
+def priority_ranks(obj: Parity) -> Parity:
+    """The same objective on the least priorities that keep it: distinct
+    values in increasing order get ranks that keep their parity, and a
+    value takes its predecessor's rank when the two share a parity (the
+    compression of Friedmann and Lange, "Solving parity games in
+    practice", ATVA 2009).  The least recurring rank is the rank of the
+    least recurring value, so every play keeps its winner.  ``obj`` itself
+    is returned when the ranks equal the values: its values are
+    consecutive and start at 0 or 1."""
+    values = set(obj.priorities)
+    if not values or (min(values) <= 1 and max(values) - min(values) < len(values)):
+        return obj
+    rank = {}
+    r = -1
+    for v in sorted(values):
+        if r < 0:
+            r = v % 2
+        elif (v - r) % 2:
+            r += 1
+        rank[v] = r
+    return Parity(tuple(map(rank.__getitem__, obj.priorities)))
 
 
 def dual_game(g: GameGraph, obj: Objective) -> tuple[GameGraph, Objective]:
@@ -179,11 +205,19 @@ def reduction_chain(g: GameGraph, obj: Objective) -> list[ReductionResult]:
     """The reductions from ``g`` to a 2-player parity game, in order: the
     record product for Rabin/Streett (without pairs, priority 0 everywhere
     for Streett, 1 for Rabin), then the gadget, the identity on a 2-player
-    game.  Each step's source is the previous step's game."""
+    game.  Each step's source is the previous step's game.
+
+    The parity objective entering the gadget is first put on its
+    ``priority_ranks``, so a game with d distinct priorities gets at most
+    ``3 * ((d + 1) // 2 + 1)`` gadget states per probabilistic state,
+    whatever the values.  A 2-player game keeps its values: the kernels' work
+    depends on how many there are, not on how large."""
     chain = []
     if isinstance(obj, (Streett, Rabin)):
         chain.append(lar_reduce(g, obj))
         g, obj = chain[-1].game, chain[-1].parity
+    if isinstance(obj, Parity) and not g.is_two_player:
+        obj = priority_ranks(obj)
     chain.append(reduce_stochastic_parity(g, obj))
     return chain
 
@@ -232,60 +266,52 @@ def lift_lasso(res: ReductionResult, lasso) -> "Lasso":
     return Lasso(tuple(prod_stem + trail[:start]), tuple(trail[start:]))
 
 
+def require_choices(choices, require: Iterable[int]) -> None:
+    """Raise ``UndefinedOnRegion`` naming the states of ``require`` that no
+    ``(memory, state)`` key of ``choices`` covers."""
+    covered = {state for _m, state in choices}
+    missing = sorted(s for s in require if s not in covered)
+    if missing:
+        raise UndefinedOnRegion(
+            f"reduced strategy leaves original states {missing} without a choice"
+        )
+
+
 def pullback_strategy(
     res: ReductionResult,
     reduced_strategy: Strategy,
     require: Optional[Iterable[int]] = None,
 ) -> Strategy:
-    """Carry a memoryless strategy on the reduced game back to the original.
+    """Carry a memoryless strategy on a record product back to the original
+    game, as a finite-memory strategy whose memory is the record automaton.
 
-    Gadget reductions keep original owned states verbatim, so their choices
-    transfer and gadget-internal choices are dropped.  Record products turn
-    into a finite-memory strategy whose memory is the record automaton.
     ``require`` lists original states that must end up with a choice;
-    missing ones raise ``UndefinedOnRegion``.
+    missing ones raise ``UndefinedOnRegion``.  The gadget and the identity
+    need no pullback: ``almost_sure_solve`` reads the choices of the copies
+    below ``source.n`` from the kernel's answer.
     """
+    if res.kind != "lar":
+        raise ValueError("strategies pull back through record products only")
     if not reduced_strategy.is_memoryless:
         raise ValueError("pullback expects a memoryless strategy on the reduced game")
     player = reduced_strategy.player
     owners = res.source.owners
-    if res.kind != "lar":
-        # announcement states are player 0's but not the player's
-        mem = reduced_strategy.memory_initial
-        n = len(owners)
-        out = Strategy(player, choices={
-            (MEMORYLESS, s): t
-            for (m, s), t in reduced_strategy.choices.items()
-            if m == mem and s < n and owners[s] == player
-        })
-    else:
-        origin = res.origin_map
-        memory = res.memory_map
-        reduced = reduced_strategy.choices
-        mem = reduced_strategy.memory_initial
-        choices = {}
-        updates = {}
-        for idx, succ in enumerate(res.game.succ):
-            s = origin[idx]
-            rec = memory[idx]
-            if succ:
-                updates[(rec, s)] = memory[succ[0]]
-            if owners[s] == player:
-                t = reduced.get((mem, idx))
-                if t is not None:
-                    choices[(rec, s)] = origin[t]
-        r_init = memory[0] if memory else ()
-        out = Strategy(
-            player=player,
-            memory_initial=r_init,
-            choices=choices,
-            updates=updates,
-        )
+    origin = res.origin_map
+    memory = res.memory_map
+    reduced = reduced_strategy.choices
+    mem = reduced_strategy.memory_initial
+    choices = {}
+    updates = {}
+    for idx, succ in enumerate(res.game.succ):
+        s = origin[idx]
+        rec = memory[idx]
+        if succ:
+            updates[(rec, s)] = memory[succ[0]]
+        if owners[s] == player:
+            t = reduced.get((mem, idx))
+            if t is not None:
+                choices[(rec, s)] = origin[t]
     if require is not None:
-        covered = {state for _m, state in out.choices}
-        missing = sorted(s for s in require if s not in covered)
-        if missing:
-            raise UndefinedOnRegion(
-                f"reduced strategy leaves original states {missing} without a choice"
-            )
-    return out
+        require_choices(choices, require)
+    r_init = memory[0] if memory else ()
+    return Strategy(player=player, memory_initial=r_init, choices=choices, updates=updates)

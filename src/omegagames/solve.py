@@ -13,19 +13,17 @@ from . import _kernels
 from .errors import NotDeterministicGame, TooLarge
 from .graph import PLAYER0, PLAYER1, GameGraph, _tarjan, check_objective
 from .objectives import Objective, Parity, Rabin, Streett, complement
-from .reductions import dual_game, pullback_strategy, reduction_chain
+from .reductions import dual_game, pullback_strategy, reduction_chain, require_choices
 from .strategies import MEMORYLESS, Region, Strategy
 
 ORACLE_STATE_BOUND = 10
 KERNEL_PRIORITY_BOUND = 2**31 - 1  # the compiled kernel holds priorities in C ints
 
 
-def zielonka_solve(g: GameGraph, obj: Parity) -> tuple[Region, Region, Strategy, Strategy]:
-    """Solve a 2-player parity game: regions and memoryless strategies.
-
-    ``W0`` and ``W1`` partition the state space; each strategy is winning
-    on its player's region.
-    """
+def _solve_parity(g: GameGraph, obj: Parity):
+    """The kernel's answer on a 2-player parity game: ``(winner, choice0,
+    choice1)``, the winner of every state and, per player, a choice on the
+    states they own in their region (see ``solve_parity``)."""
     if not g.is_two_player:
         raise NotDeterministicGame("zielonka_solve requires a game without probabilistic states")
     check_objective(g, obj, Parity)
@@ -35,10 +33,19 @@ def zielonka_solve(g: GameGraph, obj: Parity) -> tuple[Region, Region, Strategy,
             "the largest the fixpoint kernels hold"
         )
     flat = g.flat
-    winner, *choice = _kernels.active().solve_parity(
+    return _kernels.active().solve_parity(
         flat.n, flat.owners, obj.priorities,
         flat.succ_ptr, flat.succ, flat.pred_ptr, flat.pred,
     )
+
+
+def zielonka_solve(g: GameGraph, obj: Parity) -> tuple[Region, Region, Strategy, Strategy]:
+    """Solve a 2-player parity game: regions and memoryless strategies.
+
+    ``W0`` and ``W1`` partition the state space; each strategy is winning
+    on its player's region.
+    """
+    winner, *choice = _solve_parity(g, obj)
     won = ([], [])
     chosen = ({}, {})
     owners = g.owners
@@ -325,20 +332,27 @@ def _almost_sure_reach_inside(n, succ, free, region, targets):
 def almost_sure_solve(g: GameGraph, obj: Objective, player: int) -> tuple[Region, Strategy]:
     """Almost-sure winning region and witness strategy for ``player``.
 
-    Player 1 is solved as player 0 of the dual game.  Zielonka solves the
-    last game of the reduction chain; the region is lifted and the strategy
-    pulled back up the chain, each step requiring a choice at every owned
-    state of the region."""
+    Player 1 is solved as player 0 of the dual game.  The kernel solves
+    the last game of the reduction chain; the region is player 0's copies
+    below that game's ``source.n``, and the strategy the kernel's choices
+    on the ones player 0 owns in the source.  A record product then lifts
+    the region and pulls the strategy back.  Every step requires a choice
+    at each owned state of the region."""
     if player == PLAYER1:
         g, obj = dual_game(g, obj)
     elif player != PLAYER0:
         raise ValueError(f"player must be 0 or 1, got {player}")
     chain = reduction_chain(g, obj)
-    w0, _, strategy, _ = zielonka_solve(chain[-1].game, chain[-1].parity)
-    region = w0.states
-    for step in reversed(chain):
+    last = chain[-1]
+    winner, choice, _ = _solve_parity(last.game, last.parity)
+    owners = last.source.owners
+    region = [s for s, w in zip(range(last.source.n), winner) if w == PLAYER0]
+    owned = [s for s in region if owners[s] == PLAYER0]
+    choices = {(MEMORYLESS, s): choice[s] for s in owned if choice[s] >= 0}
+    require_choices(choices, owned)
+    strategy = Strategy(PLAYER0, choices=choices)
+    for step in reversed(chain[:-1]):
         region = step.lift(region)
-        if step.kind != "identity":
-            required = [s for s in region if step.source.owners[s] == PLAYER0]
-            strategy = pullback_strategy(step, strategy, require=required)
-    return Region(region), dataclasses.replace(strategy, player=player)
+        required = [s for s in region if step.source.owners[s] == PLAYER0]
+        strategy = pullback_strategy(step, strategy, require=required)
+    return Region(frozenset(region)), dataclasses.replace(strategy, player=player)

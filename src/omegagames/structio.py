@@ -250,13 +250,14 @@ def parse_label(
 
 
 _NUMBER = re.compile(r"-?[0-9]+")
+_XML_SPACE = " \t\r\n"  # the only whitespace XML knows
 
 
 def _number(text: str, what: str) -> int:
     """The integer ``text`` writes in ASCII decimal digits, with an optional
-    minus sign and whitespace around them; ``SchemaError`` for any other
-    text, and for more digits than ``int()`` converts."""
-    digits = text.strip()
+    minus sign and XML whitespace around them; ``SchemaError`` for any
+    other text, and for more digits than ``int()`` converts."""
+    digits = text.strip(_XML_SPACE)
     if _NUMBER.fullmatch(digits):
         try:
             return int(digits)
@@ -266,7 +267,7 @@ def _number(text: str, what: str) -> int:
 
 
 def _text_of(elem):
-    text = (elem.text or "").strip()
+    text = (elem.text or "").strip(_XML_SPACE)
     if not text:
         raise SchemaError(f"{elem.tag} must carry text")
     return text

@@ -15,9 +15,9 @@ from omegagames.benchgen import BenchSpec, SplitMix64, random_game
 from omegagames.cli import cli_main
 from omegagames.errors import KernelUnavailable
 from omegagames.graph import PLAYER0, PLAYER1, build_game
-from omegagames.reductions import reduce_stochastic_parity
 
 from .conftest import DATA, child_env, sample_game, sample_parity
+from .reference_gadget import global_gadget
 
 
 def test_backend_selection():
@@ -117,7 +117,8 @@ _PINNED_DIGEST = "d1b6c737537d1697fcf7227d8cf75078c92500445c4d7c7dfae67abd69283f
 
 def _digest_games():
     """(game, priorities) pairs: seeded 2-player random games, 2.5-player
-    ones (attractors only) each followed by its 2-player gadget, and a
+    ones (attractors only) each followed by its 2-player reference gadget
+    (arms up to E* at every probabilistic state), and a
     300-state chain (state s owned by s mod 2, priority s, a self-loop and
     an edge to s + 1)."""
     games = []
@@ -127,8 +128,7 @@ def _digest_games():
     for seed in range(6):
         n = 12 + 6 * seed
         game, parity = random_game(BenchSpec(n, 3 * n, 2 + seed % 4, Fraction(1, 4), seed=seed))
-        red = reduce_stochastic_parity(game, parity)
-        games += [(game, parity), (red.game, red.parity)]
+        games += [(game, parity), global_gadget(game, parity)]
     games = [(game, list(parity.priorities)) for game, parity in games]
     n = 300
     chain = build_game([(s % 2, [s, s + 1] if s + 1 < n else [s]) for s in range(n)])

@@ -47,6 +47,13 @@ def test_import_syntax_errors():
         import_pgsolver("parity 1;\n\u0660 0 0 1;\n1 1 1 0;\n")
     with pytest.raises(StructureSyntaxError, match="malformed parity header"):
         import_pgsolver("parity \u0661;\n0 0 0 1;\n1 1 1 0;\n")
+    # fields are separated by spaces and tabs, not by other whitespace
+    with pytest.raises(StructureSyntaxError, match="malformed node line"):
+        import_pgsolver("parity 1;\n0\u2003 0 0 1;\n1 1 1 0;\n")
+    with pytest.raises(StructureSyntaxError, match="malformed parity header"):
+        import_pgsolver("parity\u00a01;\n0 0 0 1;\n1 1 1 0;\n")
+    g, par = import_pgsolver("parity 1;\n\t0\t0 0 1 ;\n1 1\t1  0,\t1;\n")
+    assert g.succ == ((1,), (0, 1)) and par.priorities == (2, 1)
 
 
 def test_labels_round_trip():

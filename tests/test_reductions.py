@@ -15,6 +15,7 @@ from omegagames.reductions import (
     even_ceiling,
     lar_reduce,
     lift_lasso,
+    priority_ranks,
     pullback_strategy,
     reduce_stochastic_parity,
     reduction_chain,
@@ -40,9 +41,8 @@ def test_gadget_shape_and_size_bound():
         res = reduce_stochastic_parity(g, par)
         assert validate_game(res.game) == []
         assert res.game.is_two_player
-        n_prob = len(g.probabilistic_states)
-        estar = even_ceiling(par.max_priority)
-        assert res.game.n <= g.n + n_prob * (1 + 3 * (estar // 2 + 1))
+        arms = sum(even_ceiling(par.priorities[s]) // 2 + 1 for s in g.probabilistic_states)
+        assert res.game.n == g.n + 3 * arms
         # copies keep their indices, owners and priorities
         for s in range(g.n):
             assert res.parity.priorities[s] == par.priorities[s]
@@ -214,6 +214,8 @@ def test_lar_lasso_equivalence_exhaustive_two_states():
 
 
 def test_reduction_chain_is_the_product_then_the_gadget():
+    """The record product for Rabin/Streett, then the gadget on the ranks
+    of the parity objective, or the identity on a 2-player game."""
     rng = SplitMix64(0x2B1A)
     for trial in range(60):
         g = sample_game(rng, max_states=5)
@@ -221,10 +223,13 @@ def test_reduction_chain_is_the_product_then_the_gadget():
             pairs = sample_pairs(rng, g.n)
             obj = Streett(pairs) if trial % 2 else Rabin(pairs)
             lar = lar_reduce(g, obj)
-            red = reduce_stochastic_parity(lar.game, lar.parity)
+            game, parity = lar.game, lar.parity
         else:
             obj = sample_parity(rng, g.n)
-            red = reduce_stochastic_parity(g, obj)
+            game, parity = g, obj
+        if not game.is_two_player:
+            parity = priority_ranks(parity)
+        red = reduce_stochastic_parity(game, parity)
         chain = reduction_chain(g, obj)
         assert len(chain) == (2 if trial % 3 else 1)
         assert chain[0].source is g
@@ -260,27 +265,85 @@ def test_product_of_the_dual_is_the_dual_of_the_product():
             assert first.memory_map == second.memory_map
 
 
-def test_pullback_identity_reduction():
-    g = build_game([(PLAYER0, [1]), (PLAYER1, [0])], initial=0)
-    res = reduce_stochastic_parity(g, Parity((0, 1)))
-    strat = Strategy(0, choices={(MEMORYLESS, 0): 1})
-    back = pullback_strategy(res, strat)
-    assert back.choices == strat.choices
+def test_pullback_refuses_the_gadget_and_the_identity():
+    """Only record products need a pullback: ``almost_sure_solve`` reads the
+    choices of the copies below n straight from the kernel."""
+    gadget = build_game([(PLAYER0, [1]), (PROBABILISTIC, [0, 1])], initial=0)
+    identity = build_game([(PLAYER0, [1]), (PLAYER1, [0])], initial=0)
+    for g in (gadget, identity):
+        res = reduce_stochastic_parity(g, Parity((0, 1)))
+        with pytest.raises(ValueError):
+            pullback_strategy(res, Strategy(0, choices={(MEMORYLESS, 0): 1}))
 
 
-def test_pullback_discards_gadget_choices():
-    g = build_game([(PROBABILISTIC, [1, 2]), (PLAYER1, [0]), (PLAYER1, [0])])
-    par = Parity((3, 0, 1))
-    res = reduce_stochastic_parity(g, par)
-    _, _, s0, _ = zielonka_solve(res.game, res.parity)
-    back = pullback_strategy(res, s0)
-    # the announcement state is player 0's in the reduced game but carries no
-    # original choice; player 0 owns nothing in the source game
-    assert back.domain() == frozenset()
+def test_almost_sure_strategy_drops_gadget_choices(kernel_name):
+    """The witness chooses at player 0's own states of the region and
+    nowhere else: the announcement state is player 0's in the gadget but
+    carries no original choice."""
+    g = build_game([(PROBABILISTIC, [1, 2]), (PLAYER0, [0]), (PLAYER1, [0])])
+    with _kernels.using(kernel_name):
+        region, strategy = almost_sure_solve(g, Parity((3, 0, 1)), PLAYER0)
+    assert region.states == frozenset({0, 1, 2})
+    assert strategy.choices == {(MEMORYLESS, 1): 0}
 
 
 def test_pullback_require_reports_missing_states():
-    g = build_game([(PLAYER0, [1]), (PLAYER1, [0])], initial=0)
-    res = reduce_stochastic_parity(g, Parity((0, 1)))
-    with pytest.raises(UndefinedOnRegion):
-        pullback_strategy(res, Strategy(0), require=[0])
+    g = build_game([(PLAYER0, [1]), (PLAYER0, [0, 1])], initial=0)
+    res = lar_reduce(g, Streett([({0}, {1})]))
+    strategy = Strategy(0, choices={(MEMORYLESS, 1): 0})
+    with pytest.raises(UndefinedOnRegion, match=r"states \[0\] without a choice"):
+        pullback_strategy(res, strategy, require=[0, 1])
+
+
+def test_almost_sure_require_reports_missing_states(monkeypatch):
+    """A kernel answer without a choice at an owned state of the region is
+    refused with the states it misses, not passed on as a choice -1."""
+    from omegagames import solve
+
+    def no_choices(g, obj):
+        return [0] * g.n, [-1] * g.n, [-1] * g.n
+
+    monkeypatch.setattr(solve, "_solve_parity", no_choices)
+    g = build_game([(PLAYER0, [1]), (PLAYER0, [0]), (PROBABILISTIC, [0, 1])])
+    with pytest.raises(UndefinedOnRegion, match=r"states \[0, 1\] without a choice"):
+        almost_sure_solve(g, Parity((0, 1, 2)), PLAYER0)
+
+
+def test_priority_ranks_keep_order_and_parity():
+    """Ranks are monotone in the values and keep each value's parity, so
+    the least recurring rank is the rank of the least recurring value; a
+    value shares its predecessor's rank exactly when both have one parity.
+    Consecutive values from 0 or 1 are returned as they are."""
+    rng = SplitMix64(0x4A4C)
+    for trial in range(300):
+        n = 1 + rng.below(12)
+        spread = 10 ** (trial % 10)
+        par = Parity(tuple(rng.below(spread) for _ in range(n)))
+        ranked = priority_ranks(par)
+        values = sorted(set(par.priorities))
+        rank = dict(zip(par.priorities, ranked.priorities))
+        assert len(rank) == len(values)
+        assert rank[values[0]] == values[0] % 2
+        for v, w in zip(values, values[1:]):
+            assert rank[w] % 2 == w % 2
+            assert rank[w] == rank[v] + (v - w) % 2
+        assert ranked.max_priority <= len(values)
+    for dense in ((0, 1, 2, 3), (3, 1, 2), (5, 1, 2, 3, 4), (0,), (1,)):
+        par = Parity(dense)
+        assert priority_ranks(par) is par
+    assert priority_ranks(Parity((0, 2 * 10**9, 1))).priorities == (0, 2, 1)
+    assert priority_ranks(Parity((4, 8, 6))).priorities == (0, 0, 0)
+
+
+def test_chain_gadget_bound_in_distinct_priorities():
+    """Whatever the values, the gadget of the chain adds at most
+    3 * ((d + 1) // 2 + 1) states per probabilistic state for d distinct
+    priorities."""
+    rng = SplitMix64(0xB0B0)
+    for trial in range(200):
+        g = sample_game(rng, max_states=8)
+        spread = 10 ** (trial % 12)
+        par = Parity(tuple(rng.below(spread) for _ in range(g.n)))
+        d = len(set(par.priorities))
+        red = reduction_chain(g, par)[-1]
+        assert red.game.n - g.n <= len(g.probabilistic_states) * 3 * ((d + 1) // 2 + 1)

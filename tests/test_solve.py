@@ -1,5 +1,10 @@
 """Solvers: Zielonka, cooperative regions, the almost-sure pipeline and its
 brute-force oracle."""
+import importlib.util
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import omegagames.graph
@@ -10,7 +15,7 @@ from omegagames.errors import NotDeterministicGame, TooLarge, TypeMismatch
 from omegagames.graph import PLAYER0, PLAYER1, PROBABILISTIC, _tarjan, build_game, validate_game
 from omegagames.objectives import Parity, Rabin, Streett, complement
 from omegagames.pgsolver import export_pgsolver
-from omegagames.reductions import lar_reduce, reduce_stochastic_parity, reduction_chain
+from omegagames.reductions import dual_game, lar_reduce, reduce_stochastic_parity, reduction_chain
 from omegagames.solve import (
     almost_sure_solve,
     cooperative_region,
@@ -19,11 +24,13 @@ from omegagames.solve import (
 )
 
 from .conftest import (
+    child_env,
     sample_game,
     sample_pairs,
     sample_parity,
     strategy_wins_almost_surely,
 )
+from .reference_gadget import global_gadget
 
 
 def test_zielonka_single_even_loop():
@@ -409,3 +416,81 @@ def test_weight_values_do_not_change_regions(rng):
         )
         other, _ = almost_sure_solve(reweighted, par, 0)
         assert other.states == base.states
+
+
+def _load_certify():
+    """``perfbench/certify.py``, loaded by path: the benchmark's own
+    checker judges the witnesses."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "certify.py"
+    spec = importlib.util.spec_from_file_location("perfbench_certify", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_almost_sure_matches_the_reference_gadget(kernel_name):
+    """On 2,000 seeded 2.5-player games of 2-13 states, half with dense
+    priorities 0..d-1 and half with values spread over 0..40, both players'
+    regions equal player 0's region of Zielonka on the reference gadget
+    (arms up to E* at every probabilistic state, no priority compression),
+    and every witness passes the benchmark's almost-sure certificate."""
+    certify = _load_certify()
+    rng = SplitMix64(0x6AD6E7)
+    owners = (PLAYER0, PLAYER1, PROBABILISTIC)
+    with _kernels.using(kernel_name):
+        trial = 0
+        while trial < 2000:
+            g = sample_game(rng, max_states=13, owners=owners)
+            if g.is_two_player:
+                continue
+            trial += 1
+            if trial % 2:
+                par = Parity(tuple(rng.below(41) for _ in range(g.n)))
+            else:
+                par = sample_parity(rng, g.n, priorities=1 + rng.below(6))
+            for player in (PLAYER0, PLAYER1):
+                region, strategy = almost_sure_solve(g, par, player)
+                game, obj = (g, par) if player == PLAYER0 else dual_game(g, par)
+                w0, _, _, _ = zielonka_solve(*global_gadget(game, obj))
+                assert region.states == {s for s in w0.states if s < g.n}
+                choice = {s: t for (_m, s), t in strategy.choices.items()}
+                assert certify.check_almost_sure(
+                    g.owners, g.succ, par.priorities, player, region.states, choice
+                ) == []
+
+
+# Solves the 3-state 2.5-player game with priorities (0, 2 * 10**9, 1)
+# for both players with the address space capped at 512 MB, and prints
+# the regions, or the error as the command line would.
+CAPPED_SPARSE_SOLVE = """
+import resource, sys
+cap = 512 << 20
+_, hard = resource.getrlimit(resource.RLIMIT_AS)
+resource.setrlimit(resource.RLIMIT_AS, (cap if hard == resource.RLIM_INFINITY else min(cap, hard), hard))
+from omegagames.errors import OmegagamesError
+from omegagames.graph import PLAYER0, PLAYER1, PROBABILISTIC, build_game
+from omegagames.objectives import Parity
+from omegagames.solve import almost_sure_solve
+g = build_game([(PLAYER0, [1]), (PROBABILISTIC, [0, 2]), (PLAYER1, [1])])
+try:
+    for player in (0, 1):
+        region, _ = almost_sure_solve(g, Parity((0, 2 * 10**9, 1)), player)
+        print(f"winningRegion {player} = {region}")
+except OmegagamesError as exc:
+    print(f"error: {exc}", file=sys.stderr)
+    sys.exit(2)
+"""
+
+
+def test_sparse_huge_priority_in_a_gadget_solves_at_once():
+    """A probabilistic state of priority 2 * 10**9 once needed 10**9 + 1
+    gadget arms; on its rank, 2, it gets two, and the child answers under
+    its 512 MB cap."""
+    proc = subprocess.run(
+        [sys.executable, "-c", CAPPED_SPARSE_SOLVE],
+        capture_output=True, text=True, env=child_env(), timeout=60,
+    )
+    assert "Traceback" not in proc.stderr
+    assert (proc.returncode, proc.stdout) == (
+        0, "winningRegion 0 = {0, 1, 2}\nwinningRegion 1 = {}\n"
+    ), proc.stderr

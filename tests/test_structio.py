@@ -122,6 +122,9 @@ DIAGNOSTICS = [
     (GAME, [("<to>4</to>", "<to>\u0661</to>")], SchemaError, "to must be numeric, got '\u0661'"),
     (GAME, [(INIT, "<initialStateSet>\n    <stateID>\uff10</stateID>")], SchemaError,
      "stateID must be numeric, got '\uff10'"),
+    # XML whitespace is space, tab, CR and LF only
+    (GAME, [("<to>4</to>", "<to>\u00a04\u3000</to>")], SchemaError, r"to must be numeric, got '\xa04\u3000'"),
+    (GAME, [('<state sid="1">', '<state sid="\u00a01">')], SchemaError, r"sid must be numeric, got '\xa01'"),
     (FA, [('type="fa"', 'type="game"')], SchemaError, "state 0: game states need a player tag"),
     (GAME, [(T1_FROM, '<transition tid="1">\n      <from>zero</from>'), ('<transition tid="2">', "<transition>")],
      SchemaError, "from must be numeric, got 'zero'"),
