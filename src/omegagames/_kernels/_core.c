@@ -5,7 +5,8 @@
  * stack over a pool of states that ``set_alive`` removes and restores by
  * flipping their ``alive`` flags; no count is kept across attractor runs.
  * A winning choice on a minimum-priority state is its smallest alive
- * successor.  Any semantic change here must be mirrored in ``pure.py``.
+ * successor.  Probabilistic states and leaks: see ``pure.solve_parity``.
+ * Any semantic change here must be mirrored in ``pure.py``.
  *
  * The games arrive in CSR form (see ``graph._flatten``): the successors of
  * state s are succ[succ_ptr[s] .. succ_ptr[s+1]), its predecessors likewise
@@ -212,10 +213,10 @@ set_alive(int *alive, const int *states, int k, int on)
 }
 
 /* One frame of Zielonka's recursion: phase 0 removes the attractor of the
- * minimum priority and recurses; phase 1 either awards the frame's
- * segment to ``player`` or removes the opponent's trap and recurses;
- * phase 2 restores the trap.  [start, start + len) is the frame's segment
- * of the removed-state pool. */
+ * leaks, or else of the minimum priority, and recurses; phase 1 either
+ * awards the frame's segment to ``player`` or removes the opponent's trap
+ * and recurses; phase 2 restores the trap.  [start, start + len) is the
+ * frame's segment of the removed-state pool. */
 typedef struct {
     int phase, player, prio, start, len;
 } Frame;
@@ -269,10 +270,16 @@ solve_parity(PyObject *self, PyObject *args, PyObject *kwargs)
                 depth--;
                 continue;
             }
-            int i = mp & 1, exist[3] = {i == 0, i == 1, 0};
+            /* leaks first: they make a frame of player 0 below every priority */
             for (int s = 0; s < n; s++)
+                for (int e = succ_ptr[s]; alive[s] && owners[s] == 2 && e < succ_ptr[s + 1]; e++)
+                    if (!alive[succ[e]] && (tlen == 0 || targets[tlen - 1] != s))
+                        targets[tlen++] = s;
+            mp = tlen > 0 ? -1 : mp;
+            for (int s = 0; mp >= 0 && s < n; s++)
                 if (alive[s] && prio[s] == mp)
                     targets[tlen++] = s;
+            int i = mp < 0 ? 0 : mp & 1, exist[3] = {i == 0, i == 1, i == 1};
             int seg = attract_run(owners, succ_ptr, succ, pred_ptr, pred, alive, exist,
                                   targets, tlen, ++run, mark, cnt, stamp, ch[i],
                                   pool + pool_top);
@@ -303,7 +310,7 @@ solve_parity(PyObject *self, PyObject *args, PyObject *kwargs)
                 }
                 depth--;
             } else {
-                int exist[3] = {opp == 0, opp == 1, 0};
+                int exist[3] = {opp == 0, opp == 1, opp == 1};
                 int seg = attract_run(owners, succ_ptr, succ, pred_ptr, pred, alive, exist,
                                       targets, tlen, ++run, mark, cnt, stamp, ch[opp],
                                       segment);

@@ -9,6 +9,7 @@ state only flips its ``alive`` flag, and an attractor run counts a
 state's alive successors when it first reaches it.  Here the scans over
 the alive states and over a state's predecessors run inside C builtins
 (``itertools.compress``, slices) rather than interpreted index loops.
+``solve_parity`` also takes 2.5-player games, with no gadget.
 """
 from __future__ import annotations
 
@@ -81,8 +82,13 @@ def solve_parity(n, owners, priorities, succ_ptr, succ, pred_ptr, pred):
     """Zielonka's recursion with an explicit frame stack (stack-safe).
 
     Returns ``(winner, choice0, choice1)``: the winner of every state and,
-    for each player, a memoryless winning choice on the states they own
-    inside their winning region.  2-player games only.
+    for each player, a memoryless choice on the states they own inside
+    their winning region.  A probabilistic state (owner 2) is player 1's
+    with live edges, so player 0's region is their almost-sure one.  A
+    leak (an alive probabilistic state with a removed successor) seen
+    infinitely often leaves its subgame infinitely often, with probability
+    1, into states player 0 wins, so a subgame holding leaks opens a
+    player-0 frame with the leaks as targets below every priority (-1).
     """
     alive = [True] * n
     winner = [-1] * n
@@ -95,6 +101,7 @@ def solve_parity(n, owners, priorities, succ_ptr, succ, pred_ptr, pred):
     cnt = [0] * n
     stamp = [0] * n
     run = 0
+    prob = [s for s in states if owners[s] == 2]
 
     # Frame: [phase, player, min_priority, removed_states]
     frames = [[0, -1, -1, None]]
@@ -106,11 +113,14 @@ def solve_parity(n, owners, priorities, succ_ptr, succ, pred_ptr, pred):
             if not subgame:
                 frames.pop()
                 continue
-            m = min([priorities[s] for s in subgame])
-            i = m & 1
-            targets = [s for s in subgame if priorities[s] == m]
+            # leaks first: they make a frame of player 0 below every priority
+            targets = [s for s in compress(prob, map(alive.__getitem__, prob))
+                       if not all(map(alive.__getitem__, succ[succ_ptr[s]:succ_ptr[s + 1]]))]
+            m = -1 if targets else min([priorities[s] for s in subgame])
+            i = m & 1 if m >= 0 else 0
+            targets = targets or [s for s in subgame if priorities[s] == m]
             run += 1
-            exist = (i == 0, i == 1, False)
+            exist = (i == 0, i == 1, i == 1)
             region = _attract_run(*csr, exist, targets, run, mark, cnt, stamp, choice[i])
             _set_alive(alive, region, False)
             frame[:] = [1, i, m, region]
@@ -126,15 +136,14 @@ def solve_parity(n, owners, priorities, succ_ptr, succ, pred_ptr, pred):
                     winner[s] = i
                     if owners[s] == i and priorities[s] == frame[2]:
                         best = -1
-                        for j in range(succ_ptr[s], succ_ptr[s + 1]):
-                            t = succ[j]
+                        for t in succ[succ_ptr[s]:succ_ptr[s + 1]]:
                             if alive[t] and (best < 0 or t < best):
                                 best = t
                         chi[s] = best
                 frames.pop()
             else:
                 run += 1
-                exist = (opp == 0, opp == 1, False)
+                exist = (opp == 0, opp == 1, opp == 1)
                 trap = _attract_run(*csr, exist, rest, run, mark, cnt, stamp, choice[opp])
                 for s in trap:
                     winner[s] = opp

@@ -22,12 +22,12 @@ class Parity:
     count: Optional[int] = None
 
     def __post_init__(self):
+        top = max(self.priorities, default=0)
         if self.count is None:
-            d = max(self.priorities, default=0) + 1
-            object.__setattr__(self, "count", d)
-        for p in self.priorities:
-            if not (0 <= p < self.count):
-                raise ValueError(f"priority {p} outside [0, {self.count})")
+            object.__setattr__(self, "count", top + 1)
+        if self.priorities and (min(self.priorities) < 0 or top >= self.count):
+            bad = next(p for p in self.priorities if not 0 <= p < self.count)
+            raise ValueError(f"priority {bad} outside [0, {self.count})")
 
     @property
     def max_priority(self) -> int:

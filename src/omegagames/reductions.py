@@ -1,7 +1,8 @@
 """Reductions between game classes.
 
 * stochastic parity -> 2-player parity, via an announce/accept/challenge
-  gadget replacing each probabilistic state;
+  gadget replacing each probabilistic state (for ``reduce`` and as an
+  oracle: the kernel solves 2.5-player games without it);
 * Rabin/Streett -> parity, via an index-appearance-record product over
   the pair indices (works for 2- and 2.5-player games alike, since the
   record is deterministic memory);
@@ -13,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
-from .errors import UndefinedOnRegion
 from .graph import PLAYER0, PLAYER1, PROBABILISTIC, GameGraph, check_objective, explore
 from .objectives import Objective, Parity, Rabin, Streett, complement
 from .strategies import Strategy
@@ -201,25 +201,27 @@ def lar_reduce(g: GameGraph, obj: Streett | Rabin) -> ReductionResult:
     return ReductionResult(g, product, Parity(tuple(prios)), origin, memory, kind="lar")
 
 
+def parity_form(g: GameGraph, obj: Objective) -> tuple[Optional[ReductionResult], GameGraph, Parity]:
+    """``(product, game, parity)``: the record product for Rabin/Streett
+    (``None`` for parity; without pairs, priority 0 everywhere for Streett,
+    1 for Rabin) and the parity game it gives, on ``priority_ranks`` when
+    2.5-player.  A 2-player game keeps its values: the kernels' work does
+    not grow with them."""
+    product = lar_reduce(g, obj) if isinstance(obj, (Streett, Rabin)) else None
+    if product is not None:
+        g, obj = product.game, product.parity
+    return product, g, obj if g.is_two_player else priority_ranks(obj)
+
+
 def reduction_chain(g: GameGraph, obj: Objective) -> list[ReductionResult]:
     """The reductions from ``g`` to a 2-player parity game, in order: the
-    record product for Rabin/Streett (without pairs, priority 0 everywhere
-    for Streett, 1 for Rabin), then the gadget, the identity on a 2-player
-    game.  Each step's source is the previous step's game.
-
-    The parity objective entering the gadget is first put on its
-    ``priority_ranks``, so a game with d distinct priorities gets at most
+    record product of ``parity_form``, then the gadget (the identity on a
+    2-player game), so a game with d distinct priorities gets at most
     ``3 * ((d + 1) // 2 + 1)`` gadget states per probabilistic state,
-    whatever the values.  A 2-player game keeps its values: the kernels' work
-    depends on how many there are, not on how large."""
-    chain = []
-    if isinstance(obj, (Streett, Rabin)):
-        chain.append(lar_reduce(g, obj))
-        g, obj = chain[-1].game, chain[-1].parity
-    if isinstance(obj, Parity) and not g.is_two_player:
-        obj = priority_ranks(obj)
-    chain.append(reduce_stochastic_parity(g, obj))
-    return chain
+    whatever the values.  Each step's source is the previous step's game;
+    the last is what ``reduce`` and ``toDeterministicGame`` output."""
+    product, g, obj = parity_form(g, obj)
+    return [step for step in (product, reduce_stochastic_parity(g, obj)) if step is not None]
 
 
 def lift_lasso(res: ReductionResult, lasso) -> "Lasso":
@@ -266,29 +268,14 @@ def lift_lasso(res: ReductionResult, lasso) -> "Lasso":
     return Lasso(tuple(prod_stem + trail[:start]), tuple(trail[start:]))
 
 
-def require_choices(choices, require: Iterable[int]) -> None:
-    """Raise ``UndefinedOnRegion`` naming the states of ``require`` that no
-    ``(memory, state)`` key of ``choices`` covers."""
-    covered = {state for _m, state in choices}
-    missing = sorted(s for s in require if s not in covered)
-    if missing:
-        raise UndefinedOnRegion(
-            f"reduced strategy leaves original states {missing} without a choice"
-        )
-
-
-def pullback_strategy(
-    res: ReductionResult,
-    reduced_strategy: Strategy,
-    require: Optional[Iterable[int]] = None,
-) -> Strategy:
+def pullback_strategy(res: ReductionResult, reduced_strategy: Strategy) -> Strategy:
     """Carry a memoryless strategy on a record product back to the original
     game, as a finite-memory strategy whose memory is the record automaton.
 
-    ``require`` lists original states that must end up with a choice;
-    missing ones raise ``UndefinedOnRegion``.  The gadget and the identity
-    need no pullback: ``almost_sure_solve`` reads the choices of the copies
-    below ``source.n`` from the kernel's answer.
+    An original state gets a choice exactly when its copy with the initial
+    record has one.  The gadget and the identity need no pullback:
+    ``almost_sure_solve`` reads player 0's choices on a parity game,
+    2.5-player ones included, from the kernel's answer.
     """
     if res.kind != "lar":
         raise ValueError("strategies pull back through record products only")
@@ -311,7 +298,5 @@ def pullback_strategy(
             t = reduced.get((mem, idx))
             if t is not None:
                 choices[(rec, s)] = origin[t]
-    if require is not None:
-        require_choices(choices, require)
     r_init = memory[0] if memory else ()
     return Strategy(player=player, memory_initial=r_init, choices=choices, updates=updates)

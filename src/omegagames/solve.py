@@ -1,5 +1,5 @@
-"""Game solving: Zielonka for 2-player parity games, cooperative regions,
-the almost-sure pipeline and the brute-force oracle.
+"""Game solving: Zielonka for parity games (2-player, and 2.5-player for
+the almost-sure pipeline), cooperative regions and the brute-force oracle.
 
 Player 1 is always handled through the dual game (owners swapped,
 objective complemented), so a single player-0 code path serves both players.
@@ -10,10 +10,10 @@ import dataclasses
 import itertools
 
 from . import _kernels
-from .errors import NotDeterministicGame, TooLarge
+from .errors import NotDeterministicGame, TooLarge, UndefinedOnRegion
 from .graph import PLAYER0, PLAYER1, GameGraph, _tarjan, check_objective
 from .objectives import Objective, Parity, Rabin, Streett, complement
-from .reductions import dual_game, pullback_strategy, reduction_chain, require_choices
+from .reductions import dual_game, parity_form, pullback_strategy
 from .strategies import MEMORYLESS, Region, Strategy
 
 ORACLE_STATE_BOUND = 10
@@ -21,11 +21,10 @@ KERNEL_PRIORITY_BOUND = 2**31 - 1  # the compiled kernel holds priorities in C i
 
 
 def _solve_parity(g: GameGraph, obj: Parity):
-    """The kernel's answer on a 2-player parity game: ``(winner, choice0,
-    choice1)``, the winner of every state and, per player, a choice on the
-    states they own in their region (see ``solve_parity``)."""
-    if not g.is_two_player:
-        raise NotDeterministicGame("zielonka_solve requires a game without probabilistic states")
+    """The kernel's answer on a parity game: ``(winner, choice0, choice1)``,
+    the winner of every state and, per player, a choice on the states they
+    own in their region (see ``solve_parity``; player 0's almost-sure
+    region on a 2.5-player game)."""
     check_objective(g, obj, Parity)
     if obj.max_priority > KERNEL_PRIORITY_BOUND:
         raise TooLarge(
@@ -45,6 +44,8 @@ def zielonka_solve(g: GameGraph, obj: Parity) -> tuple[Region, Region, Strategy,
     ``W0`` and ``W1`` partition the state space; each strategy is winning
     on its player's region.
     """
+    if not g.is_two_player:
+        raise NotDeterministicGame("zielonka_solve requires a game without probabilistic states")
     winner, *choice = _solve_parity(g, obj)
     won = ([], [])
     chosen = ({}, {})
@@ -333,26 +334,24 @@ def almost_sure_solve(g: GameGraph, obj: Objective, player: int) -> tuple[Region
     """Almost-sure winning region and witness strategy for ``player``.
 
     Player 1 is solved as player 0 of the dual game.  The kernel solves
-    the last game of the reduction chain; the region is player 0's copies
-    below that game's ``source.n``, and the strategy the kernel's choices
-    on the ones player 0 owns in the source.  A record product then lifts
-    the region and pulls the strategy back.  Every step requires a choice
-    at each owned state of the region."""
+    the ``parity_form`` of the game, reading each probabilistic state as a
+    player-1 state whose edges are live, so no gadget is built.  The region
+    is the states it gives player 0, and the strategy its choices on the
+    ones player 0 owns, which must cover the owned states of the region; a
+    record product lifts the region and pulls the strategy back."""
     if player == PLAYER1:
         g, obj = dual_game(g, obj)
     elif player != PLAYER0:
         raise ValueError(f"player must be 0 or 1, got {player}")
-    chain = reduction_chain(g, obj)
-    last = chain[-1]
-    winner, choice, _ = _solve_parity(last.game, last.parity)
-    owners = last.source.owners
-    region = [s for s, w in zip(range(last.source.n), winner) if w == PLAYER0]
-    owned = [s for s in region if owners[s] == PLAYER0]
-    choices = {(MEMORYLESS, s): choice[s] for s in owned if choice[s] >= 0}
-    require_choices(choices, owned)
-    strategy = Strategy(PLAYER0, choices=choices)
-    for step in reversed(chain[:-1]):
-        region = step.lift(region)
-        required = [s for s in region if step.source.owners[s] == PLAYER0]
-        strategy = pullback_strategy(step, strategy, require=required)
+    product, game, obj = parity_form(g, obj)
+    winner, choice, _ = _solve_parity(game, obj)
+    region = [s for s, w in enumerate(winner) if w == PLAYER0]
+    owned = [s for s in region if game.owners[s] == PLAYER0]
+    missing = [s for s in owned if choice[s] < 0]
+    if missing:
+        raise UndefinedOnRegion(f"the kernel leaves states {missing} of the region without a choice")
+    strategy = Strategy(PLAYER0, choices={(MEMORYLESS, s): choice[s] for s in owned})
+    if product is not None:
+        region = product.lift(region)
+        strategy = pullback_strategy(product, strategy)
     return Region(frozenset(region)), dataclasses.replace(strategy, player=player)

@@ -14,7 +14,7 @@ from omegagames import _kernels
 from omegagames.benchgen import BenchSpec, SplitMix64, random_game
 from omegagames.cli import cli_main
 from omegagames.errors import KernelUnavailable
-from omegagames.graph import PLAYER0, PLAYER1, build_game
+from omegagames.graph import PLAYER0, PLAYER1, PROBABILISTIC, build_game
 
 from .conftest import DATA, child_env, sample_game, sample_parity
 from .reference_gadget import global_gadget
@@ -81,19 +81,48 @@ def test_attract_agreement_on_random_games(compiled_kernel):
         assert pure.attract(*args) == fast.attract(*args)
 
 
+def _opens_leak_frame(kern, flat, prios):
+    """Whether the recursion on this game opens a leak frame in the first
+    child of its top frame: the least priority is even and a probabilistic
+    state outside player 0's attractor of it has a successor inside."""
+    m = min(prios)
+    if m % 2:
+        return False
+    targets = [s for s in range(flat.n) if prios[s] == m]
+    order, _ = kern.attract(
+        flat.n, flat.owners, flat.succ_ptr, flat.succ, flat.pred_ptr, flat.pred,
+        targets, (True, False, False),
+    )
+    removed = set(order)
+    return any(
+        flat.owners[s] == PROBABILISTIC and s not in removed
+        and any(t in removed for t in flat.succ[flat.succ_ptr[s]:flat.succ_ptr[s + 1]])
+        for s in range(flat.n)
+    )
+
+
 def test_solve_parity_agreement_on_random_games(compiled_kernel):
+    """300 seeded 2-player games, then 400 with probabilistic states, read
+    as player 1's with live edges, of which at least 100 open a leak frame."""
     pure = _kernels.resolve("python")
     fast = compiled_kernel
     rng = SplitMix64(0x50CCE4)
-    for _ in range(300):
-        g = sample_game(rng, max_states=9, owners=(PLAYER0, PLAYER1))
-        par = sample_parity(rng, g.n, priorities=4)
+    leaky = 0
+    for trial in range(700):
+        if trial < 300:
+            g = sample_game(rng, max_states=9, owners=(PLAYER0, PLAYER1))
+            par = sample_parity(rng, g.n, priorities=4)
+        else:
+            g = sample_game(rng, max_states=12)
+            par = sample_parity(rng, g.n, priorities=1 + rng.below(5))
+            leaky += _opens_leak_frame(pure, g.flat, par.priorities)
         flat = g.flat
         args = (
             flat.n, flat.owners, list(par.priorities),
             flat.succ_ptr, flat.succ, flat.pred_ptr, flat.pred,
         )
         assert pure.solve_parity(*args) == fast.solve_parity(*args)
+    assert leaky >= 100
 
 
 def test_solve_parity_agreement_on_benchmark_game(compiled_kernel):
@@ -113,14 +142,16 @@ _EXIST_PATTERNS = (
 )
 # sha256 of the outputs below, computed with the kernels of 7ede7e5
 _PINNED_DIGEST = "d1b6c737537d1697fcf7227d8cf75078c92500445c4d7c7dfae67abd69283fa8"
+# sha256 of ``solve_parity`` on the 2.5-player games below, computed when
+# the kernels first read probabilistic states as live player-1 states
+_PINNED_STOCHASTIC_DIGEST = "049efb9092e1e59696eecf66794b10972c413e0119c68600bc2823742cb12314"
 
 
 def _digest_games():
     """(game, priorities) pairs: seeded 2-player random games, 2.5-player
-    ones (attractors only) each followed by its 2-player reference gadget
-    (arms up to E* at every probabilistic state), and a
-    300-state chain (state s owned by s mod 2, priority s, a self-loop and
-    an edge to s + 1)."""
+    ones each followed by its 2-player reference gadget (arms up to E* at
+    every probabilistic state), and a 300-state chain (state s owned by
+    s mod 2, priority s, a self-loop and an edge to s + 1)."""
     games = []
     for seed in range(10):
         n = 20 + 8 * seed
@@ -137,21 +168,24 @@ def _digest_games():
 
 def test_kernel_outputs_match_pinned_digest(kernel_name):
     """``solve_parity`` and ``attract`` (four ``exist`` patterns) return
-    exactly what the kernels returned before the lazy successor count: the
-    twin tests compare the kernels with each other, so they cannot see a
-    change that both share."""
+    exactly what the kernels returned before the lazy successor count, and
+    ``solve_parity`` on the 2.5-player games what it returned when it first
+    took them: the twin tests compare the kernels with each other, so they
+    cannot see a change that both share."""
     kern = _kernels.resolve(kernel_name)
     h = hashlib.sha256()
+    stochastic = hashlib.sha256()
     rng = SplitMix64(0xD16E57)
     for game, prios in _digest_games():
         f = game.flat
         csr = (f.n, f.owners, f.succ_ptr, f.succ, f.pred_ptr, f.pred)
-        if game.is_two_player:
-            h.update(repr(kern.solve_parity(f.n, f.owners, prios, *csr[2:])).encode())
+        solved = repr(kern.solve_parity(f.n, f.owners, prios, *csr[2:])).encode()
+        (h if game.is_two_player else stochastic).update(solved)
         for exist in _EXIST_PATTERNS:
             targets = [rng.below(f.n) for _ in range(1 + rng.below(f.n // 4 + 1))]
             h.update(repr(kern.attract(*csr, targets, exist)).encode())
     assert h.hexdigest() == _PINNED_DIGEST
+    assert stochastic.hexdigest() == _PINNED_STOCHASTIC_DIGEST
 
 
 def test_kernel_handles_empty_and_degenerate_inputs(kernel_name):
@@ -164,6 +198,10 @@ def test_kernel_handles_empty_and_degenerate_inputs(kernel_name):
     # repeated targets seed the queue once each, in their given order
     assert kern.attract(*csr, [1, 0, 1], (False, True, False)) == ([1, 0], [-1, -1])
     assert kern.attract(*csr, [1, 1], (True, False, False)) == ([1, 0], [1, -1])
+    # a probabilistic state of priority 1 with an edge to player 0's
+    # even self-loop: it leaks, so player 0 wins it almost surely
+    leak = (2, [2, 0], [1, 0], [0, 2, 3], [0, 1, 1], [0, 1, 3], [0, 0, 1])
+    assert kern.solve_parity(*leak) == ([0, 0], [-1, 1], [-1, -1])
 
 
 def test_kernels_are_twins_in_signature(compiled_kernel):
@@ -225,10 +263,9 @@ for k in range(400):
     exist = tuple(bool(rng.below(2)) for _ in range(3))
     args = (*csr, targets, exist)
     assert fast.attract(*args) == pure.attract(*args), k
-    if owners == 2:
-        prio = [rng.below(5) for _ in range(n)]
-        args = (f.n, f.owners, prio, f.succ_ptr, f.succ, f.pred_ptr, f.pred)
-        assert fast.solve_parity(*args) == pure.solve_parity(*args), k
+    prio = [rng.below(5) for _ in range(n)]
+    args = (f.n, f.owners, prio, f.succ_ptr, f.succ, f.pred_ptr, f.pred)
+    assert fast.solve_parity(*args) == pure.solve_parity(*args), k
     # the error paths free their buffers too
     for bad in ([n], [0.5], None):
         try:
@@ -250,13 +287,18 @@ n = 300
 f = build_game([(s % 2, [s, s + 1] if s + 1 < n else [s]) for s in range(n)]).flat
 args = (f.n, f.owners, list(range(n)), f.succ_ptr, f.succ, f.pred_ptr, f.pred)
 assert fast.solve_parity(*args) == pure.solve_parity(*args)
+# the chain reversed, every third state probabilistic: leak frames open
+f = build_game([(2 if s % 3 == 1 else s % 2, [s, s - 1] if s else [s]) for s in range(n)]).flat
+args = (f.n, f.owners, list(range(n)), f.succ_ptr, f.succ, f.pred_ptr, f.pred)
+assert fast.solve_parity(*args) == pure.solve_parity(*args)
 print("ok")
 """
 
 
 def test_compiled_kernel_under_debug_allocator(compiled_kernel):
     """Agreement with the pure kernel on a few hundred seeded games (n = 0
-    included, and calls that raise) and on a 300-state chain, in a child
+    included, half of them with probabilistic states, and calls that raise)
+    and on two 300-state chains, one with probabilistic states, in a child
     whose debug allocator aborts on a buffer overrun or a double free in
     the C code."""
     proc = subprocess.run(

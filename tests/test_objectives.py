@@ -27,6 +27,15 @@ def test_parity_priorities_bounded_by_count():
     assert Parity((0, 2)).count == 3
 
 
+def test_parity_range_error_names_the_first_offending_priority():
+    """Neither the least nor the greatest value: the first one out of range."""
+    with pytest.raises(ValueError, match=r"^priority 4 outside \[0, 4\)$"):
+        Parity((0, 4, -1, 7, 2), count=4)
+    with pytest.raises(ValueError, match=r"^priority -2 outside \[0, 6\)$"):
+        Parity((1, -2, 5, -3))
+    assert Parity((), count=0).count == 0
+
+
 def test_buchi_and_cobuchi_encodings():
     buchi = buchi_parity({1}, 3)
     assert buchi.priorities == (1, 0, 1)

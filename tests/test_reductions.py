@@ -141,19 +141,25 @@ def test_lar_one_pair_is_memoryless():
                     assert pullback_strategy(res, strategy).memory_size == 1
 
 
-RECORD_PRODUCTS_DIGEST = "18f05082b4c5ce244e5aef06e8adcdc86e2c081118e5205d222133880b063d24"
+# sha256 of the products below, computed with the record product of ac46c67
+RECORD_PRODUCTS_DIGEST = "901a251989a5fccc5bf37f776ea000093e2cdfebdc75c211064ad80197d6dcf6"
+# sha256 of the strategies below, computed when the kernels first solved
+# 2.5-player games without the gadget; 17 of the 400 changed then, all on
+# 2.5-player games, and every one of them passed the end-component check
+RECORD_STRATEGIES_DIGEST = "da511b39069aeb96239752a38b877f1d293e95f012b533be283a5617e4d80e32"
 
 
 def test_record_products_match_pinned_digest(kernel_name):
     """Record products and the strategies pulled back through them are
     pinned byte for byte: 200 seeded Streett and Rabin games of 2-40
     states with 0-4 pairs, 2- and 2.5-player, some labelled and some with
-    given weights.  The digest covers the product's owners, successors,
-    labels, weights, initial state, priorities and both maps, and both
-    players' almost-sure strategies (initial memory, choices and updates,
-    in order)."""
+    given weights.  One digest covers the product's owners, successors,
+    labels, weights, initial state, priorities and both maps; the other
+    both players' almost-sure strategies (initial memory, choices and
+    updates, in order)."""
     rng = SplitMix64(0xD16E57)
     digest = hashlib.sha256()
+    strategies = hashlib.sha256()
     with _kernels.using(kernel_name):
         for trial in range(200):
             n = 2 + rng.below(39)
@@ -184,11 +190,12 @@ def test_record_products_match_pinned_digest(kernel_name):
             )).encode())
             for player in (PLAYER0, PLAYER1):
                 _, strategy = almost_sure_solve(g, obj, player)
-                digest.update(repr((
+                strategies.update(repr((
                     strategy.memory_initial, list(strategy.choices.items()),
                     list(strategy.updates.items()),
                 )).encode())
     assert digest.hexdigest() == RECORD_PRODUCTS_DIGEST
+    assert strategies.hexdigest() == RECORD_STRATEGIES_DIGEST
 
 
 def test_lar_lasso_equivalence_exhaustive_two_states():
@@ -266,8 +273,8 @@ def test_product_of_the_dual_is_the_dual_of_the_product():
 
 
 def test_pullback_refuses_the_gadget_and_the_identity():
-    """Only record products need a pullback: ``almost_sure_solve`` reads the
-    choices of the copies below n straight from the kernel."""
+    """Only record products need a pullback: ``almost_sure_solve`` reads
+    player 0's choices on a parity game straight from the kernel."""
     gadget = build_game([(PLAYER0, [1]), (PROBABILISTIC, [0, 1])], initial=0)
     identity = build_game([(PLAYER0, [1]), (PLAYER1, [0])], initial=0)
     for g in (gadget, identity):
@@ -278,8 +285,8 @@ def test_pullback_refuses_the_gadget_and_the_identity():
 
 def test_almost_sure_strategy_drops_gadget_choices(kernel_name):
     """The witness chooses at player 0's own states of the region and
-    nowhere else: the announcement state is player 0's in the gadget but
-    carries no original choice."""
+    nowhere else: the probabilistic state, once the gadget's announcement
+    state of player 0, carries no choice."""
     g = build_game([(PROBABILISTIC, [1, 2]), (PLAYER0, [0]), (PLAYER1, [0])])
     with _kernels.using(kernel_name):
         region, strategy = almost_sure_solve(g, Parity((3, 0, 1)), PLAYER0)
@@ -287,17 +294,10 @@ def test_almost_sure_strategy_drops_gadget_choices(kernel_name):
     assert strategy.choices == {(MEMORYLESS, 1): 0}
 
 
-def test_pullback_require_reports_missing_states():
-    g = build_game([(PLAYER0, [1]), (PLAYER0, [0, 1])], initial=0)
-    res = lar_reduce(g, Streett([({0}, {1})]))
-    strategy = Strategy(0, choices={(MEMORYLESS, 1): 0})
-    with pytest.raises(UndefinedOnRegion, match=r"states \[0\] without a choice"):
-        pullback_strategy(res, strategy, require=[0, 1])
-
-
 def test_almost_sure_require_reports_missing_states(monkeypatch):
     """A kernel answer without a choice at an owned state of the region is
-    refused with the states it misses, not passed on as a choice -1."""
+    refused with the states it misses, not passed on as a choice -1; on a
+    record product they are product states, before any pullback."""
     from omegagames import solve
 
     def no_choices(g, obj):
@@ -305,8 +305,11 @@ def test_almost_sure_require_reports_missing_states(monkeypatch):
 
     monkeypatch.setattr(solve, "_solve_parity", no_choices)
     g = build_game([(PLAYER0, [1]), (PLAYER0, [0]), (PROBABILISTIC, [0, 1])])
-    with pytest.raises(UndefinedOnRegion, match=r"states \[0, 1\] without a choice"):
+    with pytest.raises(UndefinedOnRegion, match=r"states \[0, 1\] of the region without a choice"):
         almost_sure_solve(g, Parity((0, 1, 2)), PLAYER0)
+    g = build_game([(PLAYER0, [1]), (PLAYER0, [0, 1])], initial=0)
+    with pytest.raises(UndefinedOnRegion, match=r"states \[0, 1, 2\] of the region without a choice"):
+        almost_sure_solve(g, Streett([({0}, {1}), ({1}, {0})]), PLAYER0)
 
 
 def test_priority_ranks_keep_order_and_parity():

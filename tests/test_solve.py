@@ -428,35 +428,103 @@ def _load_certify():
     return module
 
 
+def witness_violations(certify, g, obj, player, region, strategy):
+    """Certify a finite-memory almost-sure witness in a 2.5-player game.
+
+    In the product of ``g`` with the strategy's memory
+    (``certify.strategy_product``), plays from the region must stay in it,
+    and every end component, where the opponent picks some edges and a
+    probabilistic state keeps all of its, must satisfy ``player``'s
+    objective.  A parity objective is read as Streett pairs: for each
+    losing priority p, the states of priority p against those below it.
+    Streett: no end component may avoid R_k and meet Q_k.  Rabin: no end
+    component may satisfy the Streett pairs, refined as in
+    ``certify.streett_cycle`` but on end components."""
+    errors, states, edges = certify.strategy_product(g.owners, g.succ, player, region, strategy)
+    if errors:
+        return errors[:5]
+    n = len(states)
+    controlled = [g.owners[s] == 1 - player for s in states]
+
+    def end_components(active):
+        return certify.maximal_end_components(n, edges, controlled, active)
+
+    if player == PLAYER1:
+        obj = complement(obj)
+    if isinstance(obj, Parity):
+        prio = obj.priorities
+        obj = Streett([
+            ({s for s in range(g.n) if prio[s] == p}, {s for s in range(g.n) if prio[s] < p})
+            for p in set(prio) if p % 2
+        ])
+    if isinstance(obj, Streett):
+        for k, (q, r) in enumerate(obj.pairs):
+            for comp in end_components([s not in r for s in states]):
+                if any(states[v] in q for v in comp):
+                    errors.append(f"an end component meets Q_{k} and avoids R_{k}")
+        return errors
+    work = [[True] * n]
+    while work:
+        for comp in end_components(work.pop()):
+            seen = {states[v] for v in comp}
+            broken = [q for q, r in obj.pairs if seen & q and not seen & r]
+            if not broken:
+                return [f"an end component through game state {states[comp[0]]} "
+                        "satisfies the Streett pairs"]
+            inside = set(comp)
+            work.append([v in inside and not any(states[v] in q for q in broken)
+                         for v in range(n)])
+    return []
+
+
+def _reference_region(g, obj, player):
+    """``player``'s almost-sure region of ``g``: player 0's region of
+    Zielonka on the reference gadget (arms up to E* at every probabilistic
+    state, no priority compression) of the game, its dual for player 1,
+    and its record product for Rabin/Streett."""
+    game, goal = (g, obj) if player == PLAYER0 else dual_game(g, obj)
+    if not isinstance(goal, Parity):
+        product = lar_reduce(game, goal)
+        game, goal = product.game, product.parity
+    w0, _, _, _ = zielonka_solve(*global_gadget(game, goal))
+    return {s for s in w0.states if s < g.n}
+
+
 def test_almost_sure_matches_the_reference_gadget(kernel_name):
-    """On 2,000 seeded 2.5-player games of 2-13 states, half with dense
-    priorities 0..d-1 and half with values spread over 0..40, both players'
-    regions equal player 0's region of Zielonka on the reference gadget
-    (arms up to E* at every probabilistic state, no priority compression),
-    and every witness passes the benchmark's almost-sure certificate."""
+    """Both players' regions equal ``_reference_region`` on 2,000 seeded
+    2.5-player parity games of 2-13 states, half with dense priorities
+    0..d-1 and half with values spread over 0..40, and on 1,200 Streett
+    and Rabin games of 2-8 states with 1-3 pairs.  Every memoryless parity
+    witness passes the benchmark's almost-sure certificate, and every
+    finite-memory witness the end-component check ``witness_violations``."""
     certify = _load_certify()
     rng = SplitMix64(0x6AD6E7)
     owners = (PLAYER0, PLAYER1, PROBABILISTIC)
     with _kernels.using(kernel_name):
         trial = 0
-        while trial < 2000:
-            g = sample_game(rng, max_states=13, owners=owners)
+        while trial < 3200:
+            g = sample_game(rng, max_states=13 if trial < 2000 else 8, owners=owners)
             if g.is_two_player:
                 continue
             trial += 1
-            if trial % 2:
-                par = Parity(tuple(rng.below(41) for _ in range(g.n)))
+            if trial > 2000:
+                obj = (Streett if trial % 2 else Rabin)(sample_pairs(rng, g.n, max_pairs=3))
+            elif trial % 2:
+                obj = Parity(tuple(rng.below(41) for _ in range(g.n)))
             else:
-                par = sample_parity(rng, g.n, priorities=1 + rng.below(6))
+                obj = sample_parity(rng, g.n, priorities=1 + rng.below(6))
             for player in (PLAYER0, PLAYER1):
-                region, strategy = almost_sure_solve(g, par, player)
-                game, obj = (g, par) if player == PLAYER0 else dual_game(g, par)
-                w0, _, _, _ = zielonka_solve(*global_gadget(game, obj))
-                assert region.states == {s for s in w0.states if s < g.n}
-                choice = {s: t for (_m, s), t in strategy.choices.items()}
-                assert certify.check_almost_sure(
-                    g.owners, g.succ, par.priorities, player, region.states, choice
-                ) == []
+                region, strategy = almost_sure_solve(g, obj, player)
+                assert region.states == _reference_region(g, obj, player)
+                if isinstance(obj, Parity):
+                    choice = {s: t for (_m, s), t in strategy.choices.items()}
+                    assert certify.check_almost_sure(
+                        g.owners, g.succ, obj.priorities, player, region.states, choice
+                    ) == []
+                else:
+                    assert witness_violations(
+                        certify, g, obj, player, region.states, strategy
+                    ) == []
 
 
 # Solves the 3-state 2.5-player game with priorities (0, 2 * 10**9, 1)
@@ -484,8 +552,8 @@ except OmegagamesError as exc:
 
 def test_sparse_huge_priority_in_a_gadget_solves_at_once():
     """A probabilistic state of priority 2 * 10**9 once needed 10**9 + 1
-    gadget arms; on its rank, 2, it gets two, and the child answers under
-    its 512 MB cap."""
+    gadget arms; the kernel now solves the game on its ranks (0, 2, 1),
+    and the child answers under its 512 MB cap."""
     proc = subprocess.run(
         [sys.executable, "-c", CAPPED_SPARSE_SOLVE],
         capture_output=True, text=True, env=child_env(), timeout=60,
