@@ -9,7 +9,6 @@ state only flips its ``alive`` flag, and an attractor run counts a
 state's alive successors when it first reaches it.  Here the scans over
 the alive states and over a state's predecessors run inside C builtins
 (``itertools.compress``, slices) rather than interpreted index loops.
-``solve_parity`` also takes 2.5-player games, with no gadget.
 """
 from __future__ import annotations
 
@@ -83,12 +82,14 @@ def solve_parity(n, owners, priorities, succ_ptr, succ, pred_ptr, pred):
 
     Returns ``(winner, choice0, choice1)``: the winner of every state and,
     for each player, a memoryless choice on the states they own inside
-    their winning region.  A probabilistic state (owner 2) is player 1's
-    with live edges, so player 0's region is their almost-sure one.  A
-    leak (an alive probabilistic state with a removed successor) seen
-    infinitely often leaves its subgame infinitely often, with probability
-    1, into states player 0 wins, so a subgame holding leaks opens a
-    player-0 frame with the leaks as targets below every priority (-1).
+    their winning region (``choice1`` also keeps, on a probabilistic
+    state, the successor that attracted it, which is no one's choice).  A
+    probabilistic state (owner 2) is player 1's with live edges, so player
+    0's region is their almost-sure one.  A leak (an alive probabilistic
+    state with a removed successor) seen infinitely often leaves its
+    subgame infinitely often, with probability 1, into states player 0
+    wins, so a subgame holding leaks opens a player-0 frame with the leaks
+    as targets below every priority (-1).
     """
     alive = [True] * n
     winner = [-1] * n
@@ -136,7 +137,8 @@ def solve_parity(n, owners, priorities, succ_ptr, succ, pred_ptr, pred):
                     winner[s] = i
                     if owners[s] == i and priorities[s] == frame[2]:
                         best = -1
-                        for t in succ[succ_ptr[s]:succ_ptr[s + 1]]:
+                        for j in range(succ_ptr[s], succ_ptr[s + 1]):
+                            t = succ[j]
                             if alive[t] and (best < 0 or t < best):
                                 best = t
                         chi[s] = best

@@ -204,24 +204,25 @@ def lar_reduce(g: GameGraph, obj: Streett | Rabin) -> ReductionResult:
 def parity_form(g: GameGraph, obj: Objective) -> tuple[Optional[ReductionResult], GameGraph, Parity]:
     """``(product, game, parity)``: the record product for Rabin/Streett
     (``None`` for parity; without pairs, priority 0 everywhere for Streett,
-    1 for Rabin) and the parity game it gives, on ``priority_ranks`` when
-    2.5-player.  A 2-player game keeps its values: the kernels' work does
-    not grow with them."""
+    1 for Rabin) and the parity game it gives.  The values are kept, for
+    either kind of game: the kernels' work does not grow with them."""
     product = lar_reduce(g, obj) if isinstance(obj, (Streett, Rabin)) else None
     if product is not None:
         g, obj = product.game, product.parity
-    return product, g, obj if g.is_two_player else priority_ranks(obj)
+    return product, g, obj
 
 
 def reduction_chain(g: GameGraph, obj: Objective) -> list[ReductionResult]:
     """The reductions from ``g`` to a 2-player parity game, in order: the
-    record product of ``parity_form``, then the gadget (the identity on a
-    2-player game), so a game with d distinct priorities gets at most
-    ``3 * ((d + 1) // 2 + 1)`` gadget states per probabilistic state,
-    whatever the values.  Each step's source is the previous step's game;
-    the last is what ``reduce`` and ``toDeterministicGame`` output."""
+    record product of ``parity_form``, then the gadget on the ranks of its
+    objective (the identity on a 2-player game), so a game with d distinct
+    priorities gets at most ``3 * ((d + 1) // 2 + 1)`` gadget states per
+    probabilistic state, whatever the values.  Each step's source is the
+    previous step's game; the last is what ``reduce`` and
+    ``toDeterministicGame`` output."""
     product, g, obj = parity_form(g, obj)
-    return [step for step in (product, reduce_stochastic_parity(g, obj)) if step is not None]
+    gadget = reduce_stochastic_parity(g, obj if g.is_two_player else priority_ranks(obj))
+    return [step for step in (product, gadget) if step is not None]
 
 
 def lift_lasso(res: ReductionResult, lasso) -> "Lasso":

@@ -435,9 +435,7 @@ def witness_violations(certify, g, obj, player, region, strategy):
     (``certify.strategy_product``), plays from the region must stay in it,
     and every end component, where the opponent picks some edges and a
     probabilistic state keeps all of its, must satisfy ``player``'s
-    objective.  A parity objective is read as Streett pairs: for each
-    losing priority p, the states of priority p against those below it.
-    Streett: no end component may avoid R_k and meet Q_k.  Rabin: no end
+    objective.  Streett: no end component may avoid R_k and meet Q_k.  Rabin: no end
     component may satisfy the Streett pairs, refined as in
     ``certify.streett_cycle`` but on end components."""
     errors, states, edges = certify.strategy_product(g.owners, g.succ, player, region, strategy)
@@ -451,12 +449,6 @@ def witness_violations(certify, g, obj, player, region, strategy):
 
     if player == PLAYER1:
         obj = complement(obj)
-    if isinstance(obj, Parity):
-        prio = obj.priorities
-        obj = Streett([
-            ({s for s in range(g.n) if prio[s] == p}, {s for s in range(g.n) if prio[s] < p})
-            for p in set(prio) if p % 2
-        ])
     if isinstance(obj, Streett):
         for k, (q, r) in enumerate(obj.pairs):
             for comp in end_components([s not in r for s in states]):
@@ -552,8 +544,8 @@ except OmegagamesError as exc:
 
 def test_sparse_huge_priority_in_a_gadget_solves_at_once():
     """A probabilistic state of priority 2 * 10**9 once needed 10**9 + 1
-    gadget arms; the kernel now solves the game on its ranks (0, 2, 1),
-    and the child answers under its 512 MB cap."""
+    gadget arms; the kernel now solves the game with no gadget, and the
+    child answers under its 512 MB cap."""
     proc = subprocess.run(
         [sys.executable, "-c", CAPPED_SPARSE_SOLVE],
         capture_output=True, text=True, env=child_env(), timeout=60,
@@ -562,3 +554,14 @@ def test_sparse_huge_priority_in_a_gadget_solves_at_once():
     assert (proc.returncode, proc.stdout) == (
         0, "winningRegion 0 = {0, 1, 2}\nwinningRegion 1 = {}\n"
     ), proc.stderr
+
+
+def test_priority_above_the_kernel_bound_is_refused_with_or_without_chance():
+    """The solver keeps the values of both kinds of game, so a value above
+    2**31 - 1 is refused whether or not a state is probabilistic."""
+    par = Parity((0, 2**33, 1))
+    for middle in (PLAYER1, PROBABILISTIC):
+        g = build_game([(PLAYER0, [1]), (middle, [0, 2]), (PLAYER1, [1])])
+        for player in (PLAYER0, PLAYER1):
+            with pytest.raises(TooLarge, match=f"priority {2**33 + player} is above {2**31 - 1}"):
+                almost_sure_solve(g, par, player)
