@@ -5,20 +5,23 @@
  * stack over a pool of states that ``set_alive`` removes and restores by
  * flipping their ``alive`` flags; no count is kept across attractor runs.
  * A winning choice on a minimum-priority state is its smallest alive
- * successor.  Probabilistic states and leaks: see ``pure.solve_parity``.
- * Any semantic change here must be mirrored in ``pure.py``.
+ * successor.  Live edges and leaks: see ``pure.solve_parity``; the leak
+ * rule reads only the live CSR, so owner 2 is player 1's everywhere in
+ * ``solve_parity``.  Any semantic change here must be mirrored in
+ * ``pure.py``.
  *
  * The games arrive in CSR form (see ``graph._flatten``): the successors of
  * state s are succ[succ_ptr[s] .. succ_ptr[s+1]), its predecessors likewise
- * in pred/pred_ptr.  Every input is copied into a C buffer and checked
- * against n first, so a malformed call raises instead of reading out of
- * bounds.
+ * in pred/pred_ptr and its live successors in live/live_ptr.  Every input
+ * is copied into a C buffer and checked against n first (each pointer
+ * array: n + 1 non-decreasing offsets ending at its row array's length),
+ * so a malformed call raises instead of reading out of bounds.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <limits.h>
 
-/* The buffers of one call (at most 16), freed together on every exit path. */
+/* The buffers of one call (at most 18), freed together on every exit path. */
 typedef struct {
     void *buf[20];
     int k;
@@ -95,6 +98,28 @@ read_ints(Bufs *b, PyObject *obj, const char *name, Py_ssize_t need, long hi,
         *len = k;
 done:
     Py_DECREF(seq);
+    return p;
+}
+
+/* The n + 1 row offsets ``obj`` into a row array of ``m`` entries:
+ * non-decreasing, from 0 to m.  Anything else raises ValueError (or
+ * read_ints' TypeError / OverflowError). */
+static int *
+read_ptr(Bufs *b, PyObject *obj, const char *name, int n, Py_ssize_t m)
+{
+    Py_ssize_t k;
+    int *p = read_ints(b, obj, name, n + 1L, m + 1, &k);
+    if (p == NULL)
+        return NULL;
+    /* read_ints saw at least n + 1 values */
+    int bad = k != n + 1L || p[0] != 0 || p[n] != m;
+    for (int s = 0; !bad && s < n; s++)
+        bad = p[s] > p[s + 1];
+    if (bad) {
+        PyErr_Format(PyExc_ValueError, "%s must hold %ld non-decreasing offsets from 0 to %zd",
+                     name, n + 1L, m);
+        return NULL;
+    }
     return p;
 }
 
@@ -184,9 +209,9 @@ attract(PyObject *self, PyObject *args, PyObject *kwargs)
     int *mark, *cnt, *stamp, *choice, *queue;
     if (!(owners = read_ints(&b, o_owners, "owners", n, -1, NULL))
         || !(succ = read_ints(&b, o_succ, "succ", 0, n, &m_succ))
-        || !(succ_ptr = read_ints(&b, o_succ_ptr, "succ_ptr", n + 1L, m_succ + 1, NULL))
+        || !(succ_ptr = read_ptr(&b, o_succ_ptr, "succ_ptr", n, m_succ))
         || !(pred = read_ints(&b, o_pred, "pred", 0, n, &m_pred))
-        || !(pred_ptr = read_ints(&b, o_pred_ptr, "pred_ptr", n + 1L, m_pred + 1, NULL))
+        || !(pred_ptr = read_ptr(&b, o_pred_ptr, "pred_ptr", n, m_pred))
         || !(targets = read_ints(&b, o_targets, "targets", 0, n, &tlen))
         || !(exist = read_ints(&b, o_exist, "exist", 3, -1, NULL))
         || !(alive = filled(&b, n, 1)) || !(mark = filled(&b, n, 0))
@@ -213,7 +238,8 @@ set_alive(int *alive, const int *states, int k, int on)
 }
 
 /* One frame of Zielonka's recursion: phase 0 removes the attractor of the
- * leaks, or else of the minimum priority, and recurses; phase 1 either
+ * leaks (alive states with a removed live successor), or else of the
+ * minimum priority, and recurses; phase 1 either
  * awards the frame's segment to ``player`` or removes the opponent's trap
  * and recurses; phase 2 restores the trap.  [start, start + len) is the
  * frame's segment of the removed-state pool. */
@@ -225,26 +251,30 @@ static PyObject *
 solve_parity(PyObject *self, PyObject *args, PyObject *kwargs)
 {
     static char *kwlist[] = {"n", "owners", "priorities", "succ_ptr", "succ",
-                             "pred_ptr", "pred", NULL};
+                             "pred_ptr", "pred", "live_ptr", "live", NULL};
     int n;
     PyObject *o_owners, *o_prio, *o_succ_ptr, *o_succ, *o_pred_ptr, *o_pred;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iOOOOOO", kwlist, &n, &o_owners,
-                                     &o_prio, &o_succ_ptr, &o_succ, &o_pred_ptr, &o_pred))
+    PyObject *o_live_ptr, *o_live;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iOOOOOOOO", kwlist, &n, &o_owners,
+                                     &o_prio, &o_succ_ptr, &o_succ, &o_pred_ptr, &o_pred,
+                                     &o_live_ptr, &o_live))
         return NULL;
     if (n < 0)
         return PyErr_Format(PyExc_ValueError, "n must be non-negative, got %d", n);
     Bufs b = {.k = 0};
     PyObject *result = NULL, *o_winner = NULL, *o_ch0 = NULL, *o_ch1 = NULL;
-    Py_ssize_t m_succ, m_pred;
-    int *owners, *prio, *succ_ptr, *succ, *pred_ptr, *pred;
+    Py_ssize_t m_succ, m_pred, m_live;
+    int *owners, *prio, *succ_ptr, *succ, *pred_ptr, *pred, *live_ptr, *live;
     int *alive, *winner, *ch[2], *mark, *cnt, *stamp, *targets, *pool;
     Frame *frames;
     if (!(owners = read_ints(&b, o_owners, "owners", n, -1, NULL))
         || !(prio = read_ints(&b, o_prio, "priorities", n, -1, NULL))
         || !(succ = read_ints(&b, o_succ, "succ", 0, n, &m_succ))
-        || !(succ_ptr = read_ints(&b, o_succ_ptr, "succ_ptr", n + 1L, m_succ + 1, NULL))
+        || !(succ_ptr = read_ptr(&b, o_succ_ptr, "succ_ptr", n, m_succ))
         || !(pred = read_ints(&b, o_pred, "pred", 0, n, &m_pred))
-        || !(pred_ptr = read_ints(&b, o_pred_ptr, "pred_ptr", n + 1L, m_pred + 1, NULL))
+        || !(pred_ptr = read_ptr(&b, o_pred_ptr, "pred_ptr", n, m_pred))
+        || !(live = read_ints(&b, o_live, "live", 0, n, &m_live))
+        || !(live_ptr = read_ptr(&b, o_live_ptr, "live_ptr", n, m_live))
         || !(alive = filled(&b, n, 1)) || !(winner = filled(&b, n, -1))
         || !(ch[0] = filled(&b, n, -1))
         || !(ch[1] = filled(&b, n, -1)) || !(mark = filled(&b, n, 0))
@@ -272,8 +302,8 @@ solve_parity(PyObject *self, PyObject *args, PyObject *kwargs)
             }
             /* leaks first: they make a frame of player 0 below every priority */
             for (int s = 0; s < n; s++)
-                for (int e = succ_ptr[s]; alive[s] && owners[s] == 2 && e < succ_ptr[s + 1]; e++)
-                    if (!alive[succ[e]] && (tlen == 0 || targets[tlen - 1] != s))
+                for (int e = live_ptr[s]; alive[s] && e < live_ptr[s + 1]; e++)
+                    if (!alive[live[e]] && (tlen == 0 || targets[tlen - 1] != s))
                         targets[tlen++] = s;
             mp = tlen > 0 ? -1 : mp;
             for (int s = 0; mp >= 0 && s < n; s++)
@@ -344,7 +374,7 @@ static PyMethodDef methods[] = {
      "attract(n, owners, succ_ptr, succ, pred_ptr, pred, targets, exist)\n"
      "--\n\nBackward attractor of ``targets``; contract as ``pure.attract``."},
     {"solve_parity", (PyCFunction)(void (*)(void))solve_parity, METH_VARARGS | METH_KEYWORDS,
-     "solve_parity(n, owners, priorities, succ_ptr, succ, pred_ptr, pred)\n"
+     "solve_parity(n, owners, priorities, succ_ptr, succ, pred_ptr, pred, live_ptr, live)\n"
      "--\n\nZielonka's recursion; contract as ``pure.solve_parity``."},
     {NULL, NULL, 0, NULL},
 };

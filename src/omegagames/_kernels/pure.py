@@ -6,13 +6,18 @@ and ``set_alive``, and both kernels break ties the same way, so their
 outputs are identical.  One of them is active per process, chosen through
 ``_kernels.active()``.  Keep the two in sync.  Removing or restoring a
 state only flips its ``alive`` flag, and an attractor run counts a
-state's alive successors when it first reaches it.  Here the scans over
-the alive states and over a state's predecessors run inside C builtins
-(``itertools.compress``, slices) rather than interpreted index loops.
+state's alive successors when it first reaches it.  Live edges (strong
+transition fairness, or the edges of a probabilistic state) arrive as their
+own CSR, ``live_ptr``/``live``, shaped like ``succ_ptr``/``succ`` and empty
+on a state without them; only the leak rule of ``solve_parity`` reads it.
+Here the scans over the alive states and over a state's predecessors run
+inside C builtins (``itertools.compress``, slices) rather than interpreted
+index loops.
 """
 from __future__ import annotations
 
 from itertools import compress
+from operator import sub
 
 NAME = "python"
 
@@ -77,19 +82,23 @@ def attract(n, owners, succ_ptr, succ, pred_ptr, pred, targets, exist):
     return order, choice
 
 
-def solve_parity(n, owners, priorities, succ_ptr, succ, pred_ptr, pred):
+def solve_parity(n, owners, priorities, succ_ptr, succ, pred_ptr, pred, live_ptr, live):
     """Zielonka's recursion with an explicit frame stack (stack-safe).
 
     Returns ``(winner, choice0, choice1)``: the winner of every state and,
     for each player, a memoryless choice on the states they own inside
     their winning region (``choice1`` also keeps, on a probabilistic
-    state, the successor that attracted it, which is no one's choice).  A
-    probabilistic state (owner 2) is player 1's with live edges, so player
-    0's region is their almost-sure one.  A leak (an alive probabilistic
-    state with a removed successor) seen infinitely often leaves its
-    subgame infinitely often, with probability 1, into states player 0
-    wins, so a subgame holding leaks opens a player-0 frame with the leaks
-    as targets below every priority (-1).
+    state, the successor that attracted it, which is no one's choice).
+    The live successors of state s are ``live[live_ptr[s]:live_ptr[s + 1]]``,
+    a subset of its successors, on states of player 1 or probabilistic
+    ones (owner 2, which the attractor reads as player 1's).  A play that
+    visits a state infinitely often takes each of its live edges
+    infinitely often, or player 0 wins it; giving a probabilistic state
+    all its edges as live makes player 0's region their almost-sure one.
+    A leak (an alive state with a removed live successor) seen infinitely
+    often leaves its subgame infinitely often into states player 0 wins,
+    so a subgame holding leaks opens a player-0 frame with the leaks as
+    targets below every priority (-1).
     """
     alive = [True] * n
     winner = [-1] * n
@@ -102,7 +111,7 @@ def solve_parity(n, owners, priorities, succ_ptr, succ, pred_ptr, pred):
     cnt = [0] * n
     stamp = [0] * n
     run = 0
-    prob = [s for s in states if owners[s] == 2]
+    with_live = list(compress(states, map(sub, live_ptr[1:], live_ptr)))  # non-empty live rows
 
     # Frame: [phase, player, min_priority, removed_states]
     frames = [[0, -1, -1, None]]
@@ -115,8 +124,8 @@ def solve_parity(n, owners, priorities, succ_ptr, succ, pred_ptr, pred):
                 frames.pop()
                 continue
             # leaks first: they make a frame of player 0 below every priority
-            targets = [s for s in compress(prob, map(alive.__getitem__, prob))
-                       if not all(map(alive.__getitem__, succ[succ_ptr[s]:succ_ptr[s + 1]]))]
+            targets = [s for s in compress(with_live, map(alive.__getitem__, with_live))
+                       if not all(map(alive.__getitem__, live[live_ptr[s]:live_ptr[s + 1]]))]
             m = -1 if targets else min([priorities[s] for s in subgame])
             i = m & 1 if m >= 0 else 0
             targets = targets or [s for s in subgame if priorities[s] == m]

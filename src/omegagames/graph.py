@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from typing import Callable, Iterable, Mapping, Optional, Sequence, get_args
 
 from . import _kernels
@@ -111,17 +112,30 @@ class GameGraph:
 
 
 class _Flat:
-    """CSR view of a game graph shared by both fixpoint kernels."""
+    """CSR view of a game graph shared by both fixpoint kernels: successor,
+    predecessor and live successor rows.  A probabilistic state's live
+    successors are all its successors, and no other state has any."""
 
-    __slots__ = ("n", "owners", "succ_ptr", "succ", "pred_ptr", "pred")
+    __slots__ = ("n", "owners", "succ_ptr", "succ", "pred_ptr", "pred", "live_ptr", "live")
 
-    def __init__(self, n, owners, succ_ptr, succ, pred_ptr, pred):
+    def __init__(self, n, owners, succ_ptr, succ, pred_ptr, pred, live_ptr, live):
         self.n = n
         self.owners = owners
         self.succ_ptr = succ_ptr
         self.succ = succ
         self.pred_ptr = pred_ptr
         self.pred = pred
+        self.live_ptr = live_ptr
+        self.live = live
+
+
+def _live_csr(n: int, rows: Mapping[int, Sequence[int]]) -> tuple[list[int], list[int]]:
+    """``(live_ptr, live)``: the CSR, over n states, of the live successor
+    ``rows`` (state -> its live successors); a state without a row has none."""
+    sizes = [0] * (n + 1)
+    for s, row in rows.items():
+        sizes[s + 1] = len(row)
+    return list(accumulate(sizes)), [t for s in sorted(rows) for t in rows[s]]
 
 
 def _flatten(g: GameGraph) -> _Flat:
@@ -144,7 +158,9 @@ def _flatten(g: GameGraph) -> _Flat:
         for t in g.succ[s]:
             pred[fill[t]] = s
             fill[t] += 1
-    return _Flat(n, owners, succ_ptr, succ, pred_ptr, pred)
+    prob = () if g.is_two_player else g.probabilistic_states
+    live_ptr, live = _live_csr(n, {s: g.succ[s] for s in prob})
+    return _Flat(n, owners, succ_ptr, succ, pred_ptr, pred, live_ptr, live)
 
 
 def build_game(

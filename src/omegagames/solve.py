@@ -20,11 +20,13 @@ ORACLE_STATE_BOUND = 10
 KERNEL_PRIORITY_BOUND = 2**31 - 1  # the compiled kernel holds priorities in C ints
 
 
-def _solve_parity(g: GameGraph, obj: Parity):
+def _solve_parity(g: GameGraph, obj: Parity, live=None):
     """The kernel's answer on a parity game: ``(winner, choice0, choice1)``,
     the winner of every state and, per player, a choice on the states they
     own in their region (see ``solve_parity``; player 0's almost-sure
-    region on a 2.5-player game)."""
+    region on a 2.5-player game).  ``live`` is a ``(live_ptr, live)`` CSR
+    of live edges that replaces the game's own (those of its probabilistic
+    states); its ``live_ptr`` must hold ``g.n + 1`` offsets."""
     check_objective(g, obj, Parity)
     if obj.max_priority > KERNEL_PRIORITY_BOUND:
         raise TooLarge(
@@ -32,9 +34,10 @@ def _solve_parity(g: GameGraph, obj: Parity):
             "the largest the fixpoint kernels hold"
         )
     flat = g.flat
+    live_ptr, live = (flat.live_ptr, flat.live) if live is None else live
     return _kernels.active().solve_parity(
         flat.n, flat.owners, obj.priorities,
-        flat.succ_ptr, flat.succ, flat.pred_ptr, flat.pred,
+        flat.succ_ptr, flat.succ, flat.pred_ptr, flat.pred, live_ptr, live,
     )
 
 

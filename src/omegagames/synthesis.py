@@ -4,11 +4,13 @@ A deterministic parity automaton over input/output propositions is split
 into a synthesis game (environment picks the input letter, system answers
 with an output letter).  When the game is lost, a minimal set of forbidden
 environment edges (safety assumption) and a locally minimal set of fair
-environment edges (strong transition fairness, checked through a
-2.5-player game) repair the specification; the result is exported as a
-Streett automaton.  The 2.5-player game is again a ``SynthesisGame``, with
+environment edges (strong transition fairness) repair the specification;
+the result is exported as a Streett automaton.  Each candidate fair set is
+checked by one kernel solve of the safe game with the fair edges as live
+edges.  For the implementing Mealy machine, ``apply_fairness`` encodes the
+final fair set as a 2.5-player game, again a ``SynthesisGame``, with
 probabilistic fairness wrappers after its choice states; a memoryless
-winning strategy on it yields the implementing Mealy machine.
+almost-sure winning strategy on it yields the machine.
 ``SynthesisGame.repair`` stages that sequence and computes each stage once,
 on first use.
 """
@@ -26,9 +28,9 @@ from .errors import (
     SpecUnsatisfiable,
     StrategyIncomplete,
 )
-from .graph import PLAYER0, PLAYER1, PROBABILISTIC, GameGraph, build_game, explore
+from .graph import PLAYER0, PLAYER1, PROBABILISTIC, GameGraph, _live_csr, build_game, explore
 from .objectives import Parity
-from .solve import almost_sure_solve, cooperative_region, zielonka_solve
+from .solve import _solve_parity, almost_sure_solve, cooperative_region, zielonka_solve
 from .strategies import Strategy
 
 EnvEdge = tuple[int, int]  # (environment state, input letter)
@@ -45,7 +47,8 @@ class SynthesisGame:
     are the probabilistic fairness wrappers ``apply_fairness`` adds: the
     first successor of a wrapper is the environment state it wraps, and
     every edge into that state (and the initial designation) leads to the
-    wrapper instead.
+    wrapper instead.  The sufficiency check builds no wrapper: it hands the
+    fair edges to the kernel as live edges of their environment states.
     """
 
     graph: GameGraph
@@ -254,13 +257,23 @@ def apply_fairness(sg: SynthesisGame, fair: Iterable[EnvEdge]) -> SynthesisGame:
 
 
 def check_sufficiency(sg: SynthesisGame, asm: Assumption) -> bool:
-    """Whether the assumption makes the specification realizable: the
-    initial state must win with probability 1 in the fairness-wrapped game
-    after the safety edges are removed."""
+    """Whether the assumption makes the specification realizable: after the
+    safety edges are removed, the system must win from the initial state
+    when the fair edges are live, which is winning it with probability 1
+    in ``apply_fairness``'s game.  The kernel solves the safe game's own
+    CSR, cached on its graph (without safety edges the safe game is ``sg``
+    itself, so a search flattens once), with the fair edges' live rows
+    merged into those of its probabilistic states: no wrapped game is built."""
     safe = sg.remove_env_edges(asm.safety_edges)
-    fg = apply_fairness(safe, asm.fair_edges)
-    region, _ = almost_sure_solve(fg.graph, fg.parity, PLAYER0)
-    return fg.graph.initial in region
+    fair = sorted(asm.fair_edges)
+    safe._check_env_edges(fair)
+    g = safe.graph
+    # a fair edge leaves an environment state, which is never probabilistic
+    rows = {s: g.succ[s] for s in g.probabilistic_states} if g.flat.live else {}
+    for q, i in fair:
+        rows.setdefault(q, []).append(safe.choice_index(q, i))
+    winner, _, _ = _solve_parity(g, safe.parity, _live_csr(g.n, rows))
+    return winner[g.initial] == PLAYER0
 
 
 def minimize_fairness(sg: SynthesisGame) -> Assumption:

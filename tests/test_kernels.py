@@ -14,7 +14,7 @@ from omegagames import _kernels
 from omegagames.benchgen import BenchSpec, SplitMix64, random_game
 from omegagames.cli import cli_main
 from omegagames.errors import KernelUnavailable
-from omegagames.graph import PLAYER0, PLAYER1, PROBABILISTIC, build_game
+from omegagames.graph import PLAYER0, PLAYER1, PROBABILISTIC, _live_csr, build_game
 
 from .conftest import DATA, child_env, sample_game, sample_parity
 from .reference_gadget import global_gadget
@@ -81,10 +81,10 @@ def test_attract_agreement_on_random_games(compiled_kernel):
         assert pure.attract(*args) == fast.attract(*args)
 
 
-def _opens_leak_frame(kern, flat, prios):
+def _opens_leak_frame(kern, flat, prios, live_ptr, live):
     """Whether the recursion on this game opens a leak frame in the first
-    child of its top frame: the least priority is even and a probabilistic
-    state outside player 0's attractor of it has a successor inside."""
+    child of its top frame: the least priority is even and a state outside
+    player 0's attractor of it has a live successor inside."""
     m = min(prios)
     if m % 2:
         return False
@@ -95,34 +95,52 @@ def _opens_leak_frame(kern, flat, prios):
     )
     removed = set(order)
     return any(
-        flat.owners[s] == PROBABILISTIC and s not in removed
-        and any(t in removed for t in flat.succ[flat.succ_ptr[s]:flat.succ_ptr[s + 1]])
+        s not in removed and any(t in removed for t in live[live_ptr[s]:live_ptr[s + 1]])
         for s in range(flat.n)
     )
 
 
+def random_live(rng, g):
+    """A live CSR for ``g``: every edge of a probabilistic state, and a
+    random subset of each player-1 state's edges."""
+    rows = {s: g.succ[s] for s in g.probabilistic_states}
+    for s in range(g.n):
+        if g.owners[s] == PLAYER1:
+            row = [t for t in g.succ[s] if rng.below(2)]
+            if row:
+                rows[s] = row
+    return _live_csr(g.n, rows)
+
+
 def test_solve_parity_agreement_on_random_games(compiled_kernel):
-    """300 seeded 2-player games, then 400 with probabilistic states, read
-    as player 1's with live edges, of which at least 100 open a leak frame."""
+    """300 seeded 2-player games without live edges, 300 with live edges on
+    player-1 states, then 400 with probabilistic states, read as player 1's
+    with live edges (half of them with live edges on player-1 states too).
+    At least 50 of the 2-player live-edge games, and at least 100 of those
+    with probabilistic states, open a leak frame."""
     pure = _kernels.resolve("python")
     fast = compiled_kernel
     rng = SplitMix64(0x50CCE4)
-    leaky = 0
-    for trial in range(700):
-        if trial < 300:
+    leaky = {"2-player": 0, "2.5-player": 0}
+    for trial in range(1000):
+        if trial < 600:
             g = sample_game(rng, max_states=9, owners=(PLAYER0, PLAYER1))
             par = sample_parity(rng, g.n, priorities=4)
         else:
             g = sample_game(rng, max_states=12)
             par = sample_parity(rng, g.n, priorities=1 + rng.below(5))
-            leaky += _opens_leak_frame(pure, g.flat, par.priorities)
         flat = g.flat
+        live = random_live(rng, g) if 300 <= trial < 600 or trial % 2 else (flat.live_ptr, flat.live)
+        if trial >= 300:
+            leaky["2-player" if trial < 600 else "2.5-player"] += _opens_leak_frame(
+                pure, flat, par.priorities, *live
+            )
         args = (
             flat.n, flat.owners, list(par.priorities),
-            flat.succ_ptr, flat.succ, flat.pred_ptr, flat.pred,
+            flat.succ_ptr, flat.succ, flat.pred_ptr, flat.pred, *live,
         )
         assert pure.solve_parity(*args) == fast.solve_parity(*args)
-    assert leaky >= 100
+    assert leaky["2-player"] >= 50 and leaky["2.5-player"] >= 100, leaky
 
 
 def test_solve_parity_agreement_on_benchmark_game(compiled_kernel):
@@ -130,7 +148,7 @@ def test_solve_parity_agreement_on_benchmark_game(compiled_kernel):
     flat = game.flat
     args = (
         flat.n, flat.owners, list(parity.priorities),
-        flat.succ_ptr, flat.succ, flat.pred_ptr, flat.pred,
+        flat.succ_ptr, flat.succ, flat.pred_ptr, flat.pred, flat.live_ptr, flat.live,
     )
     pure = _kernels.resolve("python").solve_parity(*args)
     fast = compiled_kernel.solve_parity(*args)
@@ -179,7 +197,7 @@ def test_kernel_outputs_match_pinned_digest(kernel_name):
     for game, prios in _digest_games():
         f = game.flat
         csr = (f.n, f.owners, f.succ_ptr, f.succ, f.pred_ptr, f.pred)
-        solved = repr(kern.solve_parity(f.n, f.owners, prios, *csr[2:])).encode()
+        solved = repr(kern.solve_parity(f.n, f.owners, prios, *csr[2:], f.live_ptr, f.live)).encode()
         (h if game.is_two_player else stochastic).update(solved)
         for exist in _EXIST_PATTERNS:
             targets = [rng.below(f.n) for _ in range(1 + rng.below(f.n // 4 + 1))]
@@ -190,7 +208,7 @@ def test_kernel_outputs_match_pinned_digest(kernel_name):
 
 def test_kernel_handles_empty_and_degenerate_inputs(kernel_name):
     kern = _kernels.resolve(kernel_name)
-    assert kern.solve_parity(0, [], [], [0], [], [0], []) == ([], [], [])
+    assert kern.solve_parity(0, [], [], [0], [], [0], [], [0], []) == ([], [], [])
     assert kern.attract(0, [], [0], [], [0], [], [], (True, True, True)) == ([], [])
     # two states, each the other's only successor
     csr = (2, [0, 1], [0, 1, 2], [1, 0], [0, 1, 2], [1, 0])
@@ -201,7 +219,12 @@ def test_kernel_handles_empty_and_degenerate_inputs(kernel_name):
     # a probabilistic state of priority 1 with an edge to player 0's
     # even self-loop: it leaks, so player 0 wins it almost surely
     leak = (2, [2, 0], [1, 0], [0, 2, 3], [0, 1, 1], [0, 1, 3], [0, 0, 1])
-    assert kern.solve_parity(*leak) == ([0, 0], [-1, 1], [-1, -1])
+    assert kern.solve_parity(*leak, [0, 2, 2], [1, 0]) == ([0, 0], [-1, 1], [-1, -1])
+    # the same game with a player-1 state 0 whose edge to 1 is live: still
+    # a leak; without live edges player 1 keeps the play on its odd loop
+    fair = (2, [1, 0], *leak[2:])
+    assert kern.solve_parity(*fair, [0, 1, 1], [1]) == ([0, 0], [-1, 1], [-1, -1])
+    assert kern.solve_parity(*fair, [0, 0, 0], []) == ([1, 0], [-1, 1], [0, -1])
 
 
 def test_kernels_are_twins_in_signature(compiled_kernel):
@@ -214,6 +237,21 @@ def test_kernels_are_twins_in_signature(compiled_kernel):
     assert list(inspect.signature(pure.attract).parameters) == [
         "n", "owners", "succ_ptr", "succ", "pred_ptr", "pred", "targets", "exist",
     ]
+    assert list(inspect.signature(pure.solve_parity).parameters) == [
+        "n", "owners", "priorities", "succ_ptr", "succ", "pred_ptr", "pred", "live_ptr", "live",
+    ]
+    # a call by keyword gives the same answer on both, live edges included
+    rng = SplitMix64(0x7141)
+    for _ in range(50):
+        g = sample_game(rng, max_states=8, owners=(PLAYER0, PLAYER1))
+        live_ptr, live = random_live(rng, g)
+        f = g.flat
+        kwargs = dict(
+            n=f.n, owners=f.owners, priorities=list(sample_parity(rng, g.n, 4).priorities),
+            succ_ptr=f.succ_ptr, succ=f.succ, pred_ptr=f.pred_ptr, pred=f.pred,
+            live_ptr=live_ptr, live=live,
+        )
+        assert pure.solve_parity(**kwargs) == compiled_kernel.solve_parity(**kwargs)
 
 
 def test_compiled_kernel_rejects_malformed_arrays(compiled_kernel):
@@ -234,10 +272,23 @@ def test_compiled_kernel_rejects_malformed_arrays(compiled_kernel):
     for succ in ([1, 2], [1]):
         with pytest.raises(ValueError):
             compiled_kernel.attract(2, [0, 1], [0, 1, 2], succ, [0, 1, 2], [1, 0], [0], exist)
+    no_live = ([0, 0, 0], [])
     with pytest.raises(ValueError):
-        compiled_kernel.solve_parity(2, [0, 1], [0, 1], [0, 1, 2], [1, 2], [0, 1, 2], [1, 0])
+        compiled_kernel.solve_parity(2, [0, 1], [0, 1], [0, 1, 2], [1, 2], [0, 1, 2], [1, 0], *no_live)
     with pytest.raises(OverflowError):
-        compiled_kernel.solve_parity(2, [0, 1], [0, 2**31], [0, 1, 2], [1, 0], [0, 1, 2], [1, 0])
+        compiled_kernel.solve_parity(2, [0, 1], [0, 2**31], [0, 1, 2], [1, 0], [0, 1, 2], [1, 0], *no_live)
+    # the live CSR: live_ptr must hold n + 1 non-decreasing offsets from 0
+    # to len(live), and every live successor must be a state
+    for live_ptr, live, error in (
+        ([0, 0], [], ValueError), ([0, 0, 0, 0], [], ValueError),
+        ([0, 1, 0], [1], ValueError), ([0, 1, 1], [], ValueError),
+        ([0, 0, 1], [1, 0], ValueError), ([1, 1, 1], [0], ValueError),
+        ([0, 1, 1], [2], ValueError), ([0, 1, 1], [-1], ValueError),
+        ([0, 0, 0], None, TypeError), ([0, 1, 1], [0.5], TypeError),
+        ([0, 1, 1], [2**40], OverflowError),
+    ):
+        with pytest.raises(error):
+            compiled_kernel.solve_parity(2, [1, 0], [0, 1], *csr[2:], live_ptr, live)
 
 
 _MEMCHECK = """
@@ -264,7 +315,7 @@ for k in range(400):
     args = (*csr, targets, exist)
     assert fast.attract(*args) == pure.attract(*args), k
     prio = [rng.below(5) for _ in range(n)]
-    args = (f.n, f.owners, prio, f.succ_ptr, f.succ, f.pred_ptr, f.pred)
+    args = (f.n, f.owners, prio, f.succ_ptr, f.succ, f.pred_ptr, f.pred, f.live_ptr, f.live)
     assert fast.solve_parity(*args) == pure.solve_parity(*args), k
     # the error paths free their buffers too
     for bad in ([n], [0.5], None):
@@ -282,14 +333,28 @@ for k in range(400):
             pass
         else:
             raise AssertionError((k, bad))
+    # a live successor out of range, and a live_ptr that ends past live
+    for bad in ((f.live_ptr, [n, *f.live[1:]]), (f.live_ptr, f.live[:-1])) if f.live else ():
+        try:
+            fast.solve_parity(*args[:-2], *bad)
+        except ValueError:
+            pass
+        else:
+            raise AssertionError((k, bad))
 # a deep recursion: every frame removes states and restores them
 n = 300
 f = build_game([(s % 2, [s, s + 1] if s + 1 < n else [s]) for s in range(n)]).flat
-args = (f.n, f.owners, list(range(n)), f.succ_ptr, f.succ, f.pred_ptr, f.pred)
+args = (f.n, f.owners, list(range(n)), f.succ_ptr, f.succ, f.pred_ptr, f.pred, f.live_ptr, f.live)
 assert fast.solve_parity(*args) == pure.solve_parity(*args)
 # the chain reversed, every third state probabilistic: leak frames open
 f = build_game([(2 if s % 3 == 1 else s % 2, [s, s - 1] if s else [s]) for s in range(n)]).flat
-args = (f.n, f.owners, list(range(n)), f.succ_ptr, f.succ, f.pred_ptr, f.pred)
+args = (f.n, f.owners, list(range(n)), f.succ_ptr, f.succ, f.pred_ptr, f.pred, f.live_ptr, f.live)
+assert fast.solve_parity(*args) == pure.solve_parity(*args)
+# the same 2-player chain reversed, the edge back of every player-1 state live
+f = build_game([(s % 2, [s, s - 1] if s else [s]) for s in range(n)]).flat
+live_ptr = [0] + [(s + 1) // 2 for s in range(1, n + 1)]
+live = [s - 1 for s in range(1, n, 2)]
+args = (f.n, f.owners, list(range(n)), f.succ_ptr, f.succ, f.pred_ptr, f.pred, live_ptr, live)
 assert fast.solve_parity(*args) == pure.solve_parity(*args)
 print("ok")
 """

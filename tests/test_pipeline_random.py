@@ -14,7 +14,7 @@ import pytest
 from omegagames import _kernels
 from omegagames.automata import DetParityAutomaton, PropAlphabet
 from omegagames.benchgen import SplitMix64
-from omegagames.errors import NoFairnessAssumptionExists, SpecUnsatisfiable
+from omegagames.errors import EnvDeadlocked, NoFairnessAssumptionExists, SpecUnsatisfiable
 from omegagames.solve import almost_sure_solve, cooperative_region
 from omegagames.synthesis import (
     Assumption,
@@ -231,3 +231,42 @@ def test_repair_outputs_match_pinned_digest(kernel_name):
         for aut in pipeline_cases():
             h.update(repr(_repair_record(aut)).encode())
     assert h.hexdigest() == _PINNED_REPAIR_DIGEST
+
+
+def _random_subset(rng, edges, one_in):
+    return frozenset(e for e in edges if rng.below(one_in) == 0)
+
+
+def test_sufficiency_matches_almost_sure_solve_of_fair_game(kernel_name):
+    """``check_sufficiency``, which solves the safe game with the fair edges
+    as live edges, answers as its declared oracle does: the initial state is
+    in the almost-sure region of ``apply_fairness``'s game.  Checked on 300
+    random specifications, each with random assumptions (some with safety
+    edges), on the split game and on a fairness-wrapped copy of it, whose
+    probabilistic states' live rows merge with the fair edges' rows."""
+    rng = SplitMix64(0x5AFE1)
+    seen = {"sufficient": 0, "insufficient": 0, "safety": 0, "merged": 0}
+    with _kernels.using(kernel_name):
+        for k in range(300):
+            aut = random_safety_dpa(rng) if k % 3 == 0 else random_dpa(rng, wide=k % 3 == 1)
+            sg = dpa_to_synthesis_game(aut)
+            edges = sorted(sg.env_edges())
+            wrapped = apply_fairness(sg, _random_subset(rng, edges, 2))
+            for game in (sg, wrapped):
+                for trial in range(4):
+                    safety = _random_subset(rng, edges, 4) if trial % 2 else frozenset()
+                    fair = _random_subset(rng, [e for e in edges if e not in safety], 1 + trial)
+                    asm = Assumption(safety, fair)
+                    try:
+                        fg = apply_fairness(game.remove_env_edges(safety), fair)
+                    except EnvDeadlocked:
+                        with pytest.raises(EnvDeadlocked):
+                            check_sufficiency(game, asm)
+                        continue
+                    region, _ = almost_sure_solve(fg.graph, fg.parity, 0)
+                    expected = fg.graph.initial in region
+                    assert check_sufficiency(game, asm) is expected, (k, game is sg, asm)
+                    seen["sufficient" if expected else "insufficient"] += 1
+                    seen["safety"] += bool(safety)
+                    seen["merged"] += bool(fair) and game is wrapped and not game.graph.is_two_player
+    assert min(seen.values()) >= 100, seen
