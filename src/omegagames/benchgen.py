@@ -21,6 +21,7 @@ from .objectives import Parity
 from .solve import almost_sure_solve
 
 _MASK64 = (1 << 64) - 1
+BENCH_SIZE_BOUND = 5_000_000  # states or edges; a game takes ~200 bytes per edge to generate
 
 
 class SplitMix64:
@@ -61,6 +62,8 @@ class BenchSpec:
         elif not isinstance(frac, Fraction):
             frac = Fraction(frac)
             object.__setattr__(self, "prob_fraction", frac)
+        if max(self.states, self.edges) > BENCH_SIZE_BOUND:
+            raise InvalidSpec(f"states and edges must be at most {BENCH_SIZE_BOUND}")
         if self.states < 1:
             raise InvalidSpec("states must be >= 1")
         if self.edges < self.states:

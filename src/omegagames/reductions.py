@@ -6,15 +6,15 @@
 * Rabin/Streett -> parity, via an index-appearance-record product over
   the pair indices (works for 2- and 2.5-player games alike, since the
   record is deterministic memory);
-* the dual game (owners swapped, objective complemented) used to solve for
-  player 1 with the player-0 pipeline.
+* the dual game (owners swapped, objective complemented) of a parity form,
+  used to solve for player 1 with the player-0 pipeline on the same CSR.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
-from .graph import PLAYER0, PLAYER1, PROBABILISTIC, GameGraph, check_objective, explore
+from .graph import PLAYER0, PLAYER1, PROBABILISTIC, GameGraph, _Flat, check_objective, explore
 from .objectives import Objective, Parity, Rabin, Streett, complement
 from .strategies import Strategy
 
@@ -112,10 +112,15 @@ def priority_ranks(obj: Parity) -> Parity:
 
 def dual_game(g: GameGraph, obj: Objective) -> tuple[GameGraph, Objective]:
     """Owners swapped and the objective, of any class, complemented: player
-    1's almost-sure region in ``g`` is player 0's in the dual."""
+    1's almost-sure region in ``g`` is player 0's in the dual.  The dual's
+    ``flat`` shares every array of ``g.flat`` but ``owners`` (the swap keeps
+    the probabilistic states, so the live rows hold); ``g.flat`` is unchanged."""
     check_objective(g, obj, Objective)
     swap = {PLAYER0: PLAYER1, PLAYER1: PLAYER0, PROBABILISTIC: PROBABILISTIC}
-    return replace(g, owners=tuple(swap[o] for o in g.owners)), complement(obj)
+    dual = replace(g, owners=tuple(swap[o] for o in g.owners))
+    f = g.flat
+    vars(dual)["flat"] = _Flat(f.n, dual.owners, f.succ_ptr, f.succ, f.pred_ptr, f.pred, f.live_ptr, f.live)
+    return dual, complement(obj)
 
 
 def lar_reduce(g: GameGraph, obj: Streett | Rabin) -> ReductionResult:
@@ -205,11 +210,19 @@ def parity_form(g: GameGraph, obj: Objective) -> tuple[Optional[ReductionResult]
     """``(product, game, parity)``: the record product for Rabin/Streett
     (``None`` for parity; without pairs, priority 0 everywhere for Streett,
     1 for Rabin) and the parity game it gives.  The values are kept, for
-    either kind of game: the kernels' work does not grow with them."""
-    product = lar_reduce(g, obj) if isinstance(obj, (Streett, Rabin)) else None
-    if product is not None:
-        g, obj = product.game, product.parity
-    return product, g, obj
+    either kind of game: the kernels' work does not grow with them.
+
+    ``g`` keeps, as it keeps ``flat``, the product of the last Rabin/Streett
+    objective asked, keyed by value (``Rabin(p)`` is not ``Streett(p)``), so
+    both players cost one product.  The entry holds no reference to ``g``,
+    so no cycle keeps the game or its product alive."""
+    if not isinstance(obj, (Streett, Rabin)):
+        return None, g, obj
+    memo = vars(g).get("_parity_form")
+    if memo is None or memo[0] != obj:
+        res = lar_reduce(g, obj)
+        memo = vars(g)["_parity_form"] = (obj, res.game, res.parity, res.origin_map, res.memory_map)
+    return ReductionResult(g, *memo[1:], kind="lar"), memo[1], memo[2]
 
 
 def reduction_chain(g: GameGraph, obj: Objective) -> list[ReductionResult]:

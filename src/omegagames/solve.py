@@ -1,12 +1,11 @@
 """Game solving: Zielonka for parity games (2-player, and 2.5-player for
 the almost-sure pipeline), cooperative regions and the brute-force oracle.
 
-Player 1 is always handled through the dual game (owners swapped,
-objective complemented), so a single player-0 code path serves both players.
+Player 1 is solved as player 0 of the dual of the parity form (owners
+swapped, objective complemented), on the same CSR and record product.
 """
 from __future__ import annotations
 
-import dataclasses
 import itertools
 
 from . import _kernels
@@ -336,25 +335,25 @@ def _almost_sure_reach_inside(n, succ, free, region, targets):
 def almost_sure_solve(g: GameGraph, obj: Objective, player: int) -> tuple[Region, Strategy]:
     """Almost-sure winning region and witness strategy for ``player``.
 
-    Player 1 is solved as player 0 of the dual game.  The kernel solves
-    the ``parity_form`` of the game, reading each probabilistic state as a
+    The kernel solves the ``parity_form`` of the game, for player 1 its
+    dual, which shares its CSR, reading each probabilistic state as a
     player-1 state whose edges are live, so no gadget is built.  The region
     is the states it gives player 0, and the strategy its choices on the
     ones player 0 owns, which must cover the owned states of the region; a
     record product lifts the region and pulls the strategy back."""
-    if player == PLAYER1:
-        g, obj = dual_game(g, obj)
-    elif player != PLAYER0:
+    if player not in (PLAYER0, PLAYER1):
         raise ValueError(f"player must be 0 or 1, got {player}")
     product, game, obj = parity_form(g, obj)
+    if player == PLAYER1:
+        game, obj = dual_game(game, obj)
     winner, choice, _ = _solve_parity(game, obj)
     region = [s for s, w in enumerate(winner) if w == PLAYER0]
     owned = [s for s in region if game.owners[s] == PLAYER0]
     missing = [s for s in owned if choice[s] < 0]
     if missing:
         raise UndefinedOnRegion(f"the kernel leaves states {missing} of the region without a choice")
-    strategy = Strategy(PLAYER0, choices={(MEMORYLESS, s): choice[s] for s in owned})
+    strategy = Strategy(player, choices={(MEMORYLESS, s): choice[s] for s in owned})
     if product is not None:
         region = product.lift(region)
         strategy = pullback_strategy(product, strategy)
-    return Region(frozenset(region)), dataclasses.replace(strategy, player=player)
+    return Region(frozenset(region)), strategy

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from omegagames.benchgen import (
+    BENCH_SIZE_BOUND,
     BenchSpec,
     SplitMix64,
     format_csv,
@@ -55,6 +56,12 @@ def test_invalid_specs_rejected():
         BenchSpec(2, 2, 1, prob_fraction=1)
     with pytest.raises(InvalidSpec):
         BenchSpec(2, 2, 1, repetitions=0)
+    for states, edges in ((BENCH_SIZE_BOUND + 1,) * 2, (1, BENCH_SIZE_BOUND + 1), (3 * 10**9,) * 2):
+        with pytest.raises(InvalidSpec, match=f"at most {BENCH_SIZE_BOUND}"):
+            BenchSpec(states, edges, 1)
+    # the bound itself and the 100k-state headline spec are accepted
+    BenchSpec(BENCH_SIZE_BOUND, BENCH_SIZE_BOUND, 1)
+    BenchSpec(100000, 500000, 8)
 
 
 def test_thousand_state_row_shape():

@@ -8,7 +8,7 @@ import pytest
 
 from omegagames import _kernels
 from omegagames.cli import cli_main
-from omegagames.benchgen import SplitMix64
+from omegagames.benchgen import BENCH_SIZE_BOUND, SplitMix64
 from omegagames.errors import InvalidGame
 from omegagames.graph import PLAYER0, PLAYER1, PROBABILISTIC, build_game
 from omegagames.objectives import Parity, Streett
@@ -131,6 +131,18 @@ def test_sparse_huge_priority_converts_to_typed_error(tmp_path):
     assert not (tmp_path / "sparse.xml").exists()
     proc = run("solve", str(path), "--player", "0")
     assert (proc.returncode, proc.stdout) == (0, "winningRegion 0 = {0, 1}\n"), proc.stderr
+
+
+def test_bench_above_the_size_bound_is_input_error():
+    """A spec of 3 * 10**9 states once ran ``random_game`` into a
+    ``MemoryError``; ``BenchSpec`` now refuses it before anything is
+    allocated, so the capped child exits 2 at once."""
+    proc = subprocess.run(
+        [sys.executable, "-c", CAPPED_CLI, "bench", "--states", "3000000000", "--edges", "3000000000"],
+        capture_output=True, text=True, env=child_env(), timeout=30,
+    )
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert proc.stderr == f"error: states and edges must be at most {BENCH_SIZE_BOUND}\n"
 
 
 def test_malformed_file_is_input_error(workdir, capsys):

@@ -1,11 +1,14 @@
 """Reductions: the probabilistic-state gadget, the record product, pullbacks."""
+import gc
 import hashlib
 import itertools
+import weakref
+from dataclasses import replace
 from math import factorial
 
 import pytest
 
-from omegagames import _kernels
+from omegagames import _kernels, graph, reductions
 from omegagames.benchgen import SplitMix64
 from omegagames.errors import UndefinedOnRegion
 from omegagames.graph import PLAYER0, PLAYER1, PROBABILISTIC, build_game, validate_game
@@ -247,12 +250,13 @@ def test_reduction_chain_is_the_product_then_the_gadget():
 
 
 def test_product_of_the_dual_is_the_dual_of_the_product():
-    """Solving player 1 takes the dual first and the record product second.
-    The record ignores owners, so both orders give the same states, owners,
-    successors, labels and maps.  A Rabin record priority is the Streett one
-    plus 1, the complement's shift: for a Streett objective the priorities
-    agree too; for a Rabin one the product of the dual has every priority
-    (and the count) 2 lower, the same parity order."""
+    """Solving player 1 takes the record product first and its dual second,
+    so both players share one product.  That is sound because the record
+    ignores owners: both orders give the same states, owners, successors,
+    labels and maps.  A Rabin record priority is the Streett one plus 1,
+    the complement's shift: for a Streett objective the priorities agree
+    too; for a Rabin one the product of the dual has every priority (and
+    the count) 2 lower, the same parity order."""
     rng = SplitMix64(0xD0A1)
     for trial in range(120):
         owners = (PLAYER0, PLAYER1) if trial % 2 else (PLAYER0, PLAYER1, PROBABILISTIC)
@@ -270,6 +274,67 @@ def test_product_of_the_dual_is_the_dual_of_the_product():
             assert first.parity.count == parity.count - lower
             assert first.origin_map == second.origin_map
             assert first.memory_map == second.memory_map
+
+
+def test_parity_form_memo_answers_each_objective_and_holds_no_cycle(kernel_name, monkeypatch):
+    """A game keeps the record product of the last Rabin/Streett objective
+    asked.  Asked in turn for Streett(A), Rabin(A), Streett(B), Streett(A)
+    and a parity objective, each newly built but equal by value for the
+    second player, both players get the answers of a fresh copy of the game,
+    and the product is built once per objective in turn.  The game and the
+    product kept on it die on ``del`` with the cycle collector off."""
+    built = []
+    lar = reductions.lar_reduce
+    monkeypatch.setattr(reductions, "lar_reduce", lambda g, obj: built.append((g, obj)) or lar(g, obj))
+    rng = SplitMix64(0x3E30)
+    differ = 0
+    with _kernels.using(kernel_name):
+        for trial in range(40):
+            g = sample_game(rng, max_states=7, owners=(PLAYER0, PLAYER1, PROBABILISTIC)[: 2 + trial % 2])
+            a, b = sample_pairs(rng, g.n, max_pairs=2), sample_pairs(rng, g.n, max_pairs=2)
+            turns = (Streett, a), (Rabin, a), (Streett, b), (Streett, a), (Parity, sample_parity(rng, g.n).priorities)
+            built.clear()
+            answers = []
+            for kind, arg in turns:
+                fresh = replace(g)
+                answers.append([almost_sure_solve(g, kind(arg), player) for player in (PLAYER0, PLAYER1)])
+                assert answers[-1] == [almost_sure_solve(fresh, kind(arg), player) for player in (PLAYER0, PLAYER1)]
+            assert [obj for h, obj in built if h is g] == [kind(arg) for kind, arg in turns[:4]]
+            # a stale product would answer the previous objective's question
+            differ += all(answers[i] != answers[i + 1] for i in range(3))
+        assert differ >= 30
+        gc.disable()
+        try:
+            almost_sure_solve(g, Streett(a), PLAYER1)
+            product = reductions.parity_form(g, Streett(a))[1]
+            refs = weakref.ref(g), weakref.ref(product)
+            built.clear()
+            del g, fresh, product
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
+
+
+def test_dual_shares_the_csr_and_never_writes_it(monkeypatch):
+    """The dual's ``flat`` holds its game's successor, predecessor and live
+    arrays themselves, with the owners swapped; the game's own ``flat`` keeps
+    its owners, so both players of a 2.5-player parity game flatten once."""
+    flattened = []
+    flatten = graph._flatten
+    monkeypatch.setattr(graph, "_flatten", lambda g: flattened.append(g) or flatten(g))
+    g = build_game([(PLAYER0, [1, 2]), (PLAYER1, [0, 2]), (PROBABILISTIC, [0, 1]), (PLAYER1, [3, 2])], initial=0)
+    obj = Parity((1, 2, 0, 3))
+    dual, _ = dual_game(g, obj)
+    for name in ("succ_ptr", "succ", "pred_ptr", "pred", "live_ptr", "live"):
+        assert getattr(dual.flat, name) is getattr(g.flat, name)
+    assert dual.flat.owners == dual.owners == (PLAYER1, PLAYER0, PROBABILISTIC, PLAYER0)
+    assert g.flat.owners is g.owners
+    fresh = replace(g)
+    flattened.clear()
+    for player in (PLAYER0, PLAYER1):
+        almost_sure_solve(fresh, obj, player)
+    assert fresh.flat.owners is fresh.owners
+    assert len(flattened) == 1 and flattened[0] is fresh
 
 
 def test_pullback_refuses_the_gadget_and_the_identity():
